@@ -21,9 +21,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .engine import TOL
 from .instances import Graph
 
-TOL = 1e-12
 RESAMPLE_CAP = 10 ** 4
 
 

@@ -29,11 +29,11 @@ from functools import partial
 from typing import Mapping, Sequence
 
 from . import engine, families, lll, thresholds
-from .choice import (ChoiceError, check_expectation_condition,
+from .choice import (RESAMPLE_CAP, ChoiceError, check_expectation_condition,
                      choice_from_json, marginals_from_json,
                      randomized_choice_search)
 from .digraph import DigraphError, digraph_from_json
-from .engine import IndeterminateError
+from .engine import ITER_CAP, TOL, IndeterminateError
 from .instances import (InstanceError, graph_from_json, hypergraph_from_json,
                         lists_from_json, random_graph_max_degree,
                         random_regular_uniform_hypergraph,
@@ -167,8 +167,8 @@ def _run_check_lcl(args):
     graph = digraph_from_json(data["digraph"])
     risks = risk_table_from_json({"risks": data.get("risks", [])}, graph)
     inst = engine.CutInstance.build(graph, risks)
-    tol = _setting(args, "tol", "TOL", float, engine.TOL)
-    cap = _setting(args, "cap", "CAP", int, engine.ITER_CAP)
+    tol = _setting(args, "tol", "TOL", float, TOL)
+    cap = _setting(args, "cap", "CAP", int, ITER_CAP)
     if args.weights:
         weights = _parse_weights(_load_json(args.weights), graph)
         rep = engine.check_weight_condition(inst, weights, tol)
@@ -200,42 +200,40 @@ def _run_check_lcl(args):
     return code, report, rows
 
 
-def _family_terms(data) -> tuple[tuple[str, ...], dict, list]:
+def _family_terms(data) -> tuple[tuple[str, ...], dict]:
     if not isinstance(data, Mapping) or "ground" not in data:
         raise SpaceError('instance needs a "ground" entry')
     ground = tuple(sorted(str(i) for i in data["ground"]))
     if len(set(ground)) != len(ground) or not ground:
         raise SpaceError("ground set must be nonempty without duplicates")
     events = data.get("events", [])
-    terms: dict[str, list[tuple[float, frozenset[str]]]] = \
+    terms: dict[str, list[tuple[float, tuple[str, ...]]]] = \
         {i: [] for i in ground}
-    parsed = []
     for idx, entry in enumerate(events):
         try:
             element = str(entry["element"])
             p = float(entry["p"])
-            witness = frozenset(str(w) for w in entry["witness"])
+            witness = tuple(sorted({str(w) for w in entry["witness"]}))
         except (TypeError, KeyError) as exc:
             raise SpaceError(f"malformed event {idx}: {exc}") from exc
         if element not in terms:
             raise SpaceError(f"event {idx} names unknown element "
                              f"{element!r}")
-        if not witness <= set(ground) or element not in witness:
+        if not set(witness) <= set(ground) or element not in witness:
             raise SpaceError(f"event {idx} witness must contain its "
                              "element and stay inside the ground set")
         if not 0.0 <= p <= 1.0:
             raise SpaceError(f"event {idx} has probability {p} outside "
                              "[0, 1]")
         terms[element].append((p, witness))
-        parsed.append((element, p, witness))
-    return ground, terms, parsed
+    return ground, terms
 
 
 def _run_check_family(args):
     data = _load_json(args.instance)
-    ground, terms, parsed = _family_terms(data)
-    tol = _setting(args, "tol", "TOL", float, families.TOL)
-    cap = _setting(args, "cap", "CAP", int, families.ITER_CAP)
+    ground, terms = _family_terms(data)
+    tol = _setting(args, "tol", "TOL", float, TOL)
+    cap = _setting(args, "cap", "CAP", int, ITER_CAP)
     if "tau" in data:
         tau = {str(k): float(v) for k, v in data["tau"].items()}
         missing = sorted(set(ground) - set(tau))
@@ -243,13 +241,6 @@ def _run_check_family(args):
             raise SpaceError(f"no tau for element {missing[0]!r}")
         if any(t < 1.0 for t in tau.values()):
             raise SpaceError("tau values must be >= 1")
-        margins = {}
-        for i in ground:
-            load = math.fsum(p * math.prod(tau[w] for w in witness)
-                             for p, witness in terms[i])
-            margins[i] = tau[i] - 1.0 - load
-        feasible = all(m >= -tol for m in margins.values())
-        code = EXIT_OK if feasible else EXIT_NEGATIVE
         mode = "check"
         iterations = 0
     else:
@@ -260,15 +251,15 @@ def _run_check_family(args):
                       "iterations": res.iterations}
             return EXIT_NEGATIVE, report, []
         tau = res.tau
-        margins = {}
-        for i in ground:
-            load = math.fsum(p * math.prod(tau[w] for w in witness)
-                             for p, witness in terms[i])
-            margins[i] = tau[i] - 1.0 - load
-        feasible = True
-        code = EXIT_OK
         mode = "solve"
         iterations = res.iterations
+    margins = {}
+    for i in ground:
+        load = math.fsum(p * math.prod(tau[w] for w in witness)
+                         for p, witness in terms[i])
+        margins[i] = tau[i] - 1.0 - load
+    feasible = mode == "solve" or all(m >= -tol for m in margins.values())
+    code = EXIT_OK if feasible else EXIT_NEGATIVE
     bound = 1.0 / math.prod(tau[i] for i in ground) if feasible else 0.0
     report = {"subcommand": "check-family", "mode": mode,
               "feasible": feasible, "iterations": iterations,
@@ -281,9 +272,9 @@ def _run_check_family(args):
 
 def _run_check_lll(args):
     inst = lll.instance_from_json(_load_json(args.instance))
-    tol = _setting(args, "tol", "TOL", float, lll.TOL)
+    tol = _setting(args, "tol", "TOL", float, TOL)
     if args.auto_mu:
-        cap = _setting(args, "cap", "CAP", int, lll.ITER_CAP)
+        cap = _setting(args, "cap", "CAP", int, ITER_CAP)
         res = lll.auto_mu(inst.probs, inst.gamma, tol, cap)
         feasible = res.status == "converged"
         found = ([res.mu[i] for i in range(1, inst.n + 1)]
@@ -403,7 +394,7 @@ def _run_choice(args):
     if not rep.feasible:
         return EXIT_NEGATIVE, report, rows
     seed = _setting(args, "seed", "SEED", int, 0)
-    cap = _setting(args, "cap", "CAP", int, 10 ** 4)
+    cap = _setting(args, "cap", "CAP", int, RESAMPLE_CAP)
     found = randomized_choice_search(inst, weights, seed, cap)
     report.update({"status": found.status, "resamples": found.resamples,
                    "choice": list(found.choice) if found.choice else None})
@@ -414,36 +405,22 @@ def _run_choice(args):
     return EXIT_OK, report, rows
 
 
+def _draw(kind: str, payload: tuple, cap: int, seed: int):
+    """One seeded run of a sampler: its object (None on failure) and its
+    report."""
+    if kind == "2col":
+        (hypergraph,) = payload
+        return moser_tardos_two_coloring(hypergraph, seed, cap)
+    if kind == "nonrep-seq":
+        (lists,) = payload
+        return nonrep_sequence_build(lists, seed, cap)
+    graph, palette = payload
+    return greedy_acyclic_edge_coloring(graph, palette, seed, cap)
+
+
 def _sample_once(kind: str, payload: tuple, cap: int, seed: int) -> dict:
-    if kind == "2col":
-        (hypergraph,) = payload
-        _, rep = moser_tardos_two_coloring(hypergraph, seed, cap)
-    elif kind == "nonrep-seq":
-        (lists,) = payload
-        _, rep = nonrep_sequence_build(lists, seed, cap)
-    else:
-        graph, palette = payload
-        _, rep = greedy_acyclic_edge_coloring(graph, palette, seed, cap)
+    _, rep = _draw(kind, payload, cap, seed)
     return {"seed": seed, "success": rep.success, "resamples": rep.steps}
-
-
-def _sample_result(kind: str, payload: tuple, cap: int, seed: int):
-    if kind == "2col":
-        (hypergraph,) = payload
-        coloring, rep = moser_tardos_two_coloring(hypergraph, seed, cap)
-        pretty = ({v: c for v, c in sorted(coloring.items())}
-                  if coloring else None)
-    elif kind == "nonrep-seq":
-        (lists,) = payload
-        sequence, rep = nonrep_sequence_build(lists, seed, cap)
-        pretty = list(sequence) if sequence else None
-    else:
-        graph, palette = payload
-        coloring, rep = greedy_acyclic_edge_coloring(graph, palette, seed,
-                                                     cap)
-        pretty = ({"|".join(sorted(e)): c for e, c in coloring.items()}
-                  if coloring else None)
-    return pretty, rep
 
 
 def _run_sample(args):
@@ -486,7 +463,13 @@ def _run_sample(args):
     result = None
     note = ""
     if runs == 1:
-        result, rep = _sample_result(kind, payload, cap, seed)
+        found, rep = _draw(kind, payload, cap, seed)
+        if found and kind == "2col":
+            result = dict(sorted(found.items()))
+        elif found and kind == "nonrep-seq":
+            result = list(found)
+        elif found:
+            result = {"|".join(sorted(e)): c for e, c in found.items()}
         note = rep.note
         rows = [{"seed": seed, "success": rep.success,
                  "resamples": rep.steps}]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .digraph import (Arc, DigraphError, MultiDigraph, SimpleDigraph,
                       check_weights, min_product_weights, reachable,
@@ -37,6 +37,40 @@ class IndeterminateError(RuntimeError):
     def __init__(self, message: str, iterations: int):
         super().__init__(message)
         self.iterations = iterations
+
+
+def kleene(operator: Callable[[dict], dict], start: Mapping,
+           tol: float = TOL, iter_cap: int = ITER_CAP,
+           value_cap: float = VALUE_CAP
+           ) -> tuple[str, dict, int, float, float]:
+    """Iterate a monotone operator from `start` until it settles.
+
+    Stops "converged" once no entry moves by tol or more, and "diverged"
+    once some entry exceeds value_cap.  Returns the status, the last
+    iterate (None when diverged), the number of operator applications, the
+    last iterate's largest entry and the most negative per-entry step seen.
+    Raises IndeterminateError after iter_cap applications.
+    """
+    current = dict(start)
+    applications = 0
+    min_step = 0.0
+    while applications < iter_cap:
+        nxt = operator(current)
+        applications += 1
+        sup_step = 0.0
+        for key, value in nxt.items():
+            step = value - current[key]
+            sup_step = max(sup_step, abs(step))
+            min_step = min(min_step, step)
+        current = nxt
+        peak = max(current.values(), default=0.0)
+        if peak > value_cap:
+            return "diverged", None, applications, peak, min_step
+        if sup_step < tol:
+            return "converged", current, applications, peak, min_step
+    raise IndeterminateError(
+        f"no convergence or divergence within {iter_cap} iterations",
+        applications)
 
 
 @dataclass(frozen=True)
@@ -142,36 +176,16 @@ def least_weight_solution(inst: CutInstance, tol: float = TOL,
     value_cap when none exists, or runs out of iterations (indeterminate,
     raised as IndeterminateError).
     """
-    simple = inst.simple
-    current = {arc: 1.0 for arc in simple.arcs}   # image of the zero function
-    iterations = 1
-    min_step = 0.0
-    if not simple.arcs:
-        return FixedPointResult("converged", current, iterations,
-                                WeightReport(current, {}, True, iterations),
-                                0.0, 0.0)
-    while iterations < iter_cap:
-        nxt = apply_risk_operator(inst, current)
-        iterations += 1
-        sup_step = 0.0
-        for arc, value in nxt.items():
-            step = value - current[arc]
-            sup_step = max(sup_step, abs(step))
-            min_step = min(min_step, step)
-        current = nxt
-        peak = max(current.values())
-        if peak > value_cap:
-            return FixedPointResult("diverged", None, iterations, None,
-                                    peak, min_step)
-        if sup_step < tol:
-            check = check_weight_condition(inst, current, tol=max(tol, 1e-9))
-            report = WeightReport(current, check.margins, check.feasible,
-                                  iterations)
-            return FixedPointResult("converged", current, iterations, report,
-                                    peak, min_step)
-    raise IndeterminateError(
-        f"no convergence or divergence within {iter_cap} iterations",
-        iterations)
+    status, weights, iterations, peak, min_step = kleene(
+        lambda w: apply_risk_operator(inst, w),
+        dict.fromkeys(inst.simple.arcs, 0.0), tol, iter_cap, value_cap)
+    if weights is None:
+        return FixedPointResult(status, None, iterations, None, peak,
+                                min_step)
+    check = check_weight_condition(inst, weights, tol=max(tol, 1e-9))
+    report = WeightReport(weights, check.margins, check.feasible, iterations)
+    return FixedPointResult(status, weights, iterations, report, peak,
+                            min_step)
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .digraph import MultiDigraph
-from .engine import IndeterminateError
+from .engine import ITER_CAP, TOL, VALUE_CAP, kleene
 from .instances import Hypergraph
 from .probability import (ENUM_CAP, CutModel, Event, ProductSpace,
                           SamplePoint, _Kahan)
-
-TOL = 1e-12
-ITER_CAP = 10 ** 5
-VALUE_CAP = 1e9
 
 HYPERCUBE_MAX_GROUND = 4
 
@@ -287,15 +283,17 @@ class TauSolveResult:
 
 
 def least_tau_solution(ground: Sequence[str],
-                       terms: Mapping[str, Sequence[tuple[float, Subset]]],
+                       terms: Mapping[str,
+                                      Sequence[tuple[float, Iterable[str]]]],
                        tol: float = TOL, iter_cap: int = ITER_CAP,
                        value_cap: float = VALUE_CAP) -> TauSolveResult:
     """Least tau with tau(i) = 1 + sum of p * tau(witness) per element.
 
     terms[i] lists (probability bound, witness set) pairs; each witness
-    must contain i.  Same contract as the arc-weight iteration: increasing
-    chain from all-ones, convergence to the least solution, divergence
-    verdict past value_cap, IndeterminateError at the iteration cap.
+    must contain i, and its weights multiply in its iteration order.  Same
+    contract as the arc-weight iteration: increasing chain from the zero
+    function, convergence to the least solution, divergence verdict past
+    value_cap, IndeterminateError at the iteration cap.
     """
     for elem in ground:
         for p, witness in terms.get(elem, ()):
@@ -303,30 +301,19 @@ def least_tau_solution(ground: Sequence[str],
                 raise ValueError(f"witness {sorted(witness)} misses {elem!r}")
             if p < 0.0:
                 raise ValueError("negative probability bound")
-    tau = {elem: 1.0 for elem in ground}
-    iterations = 1
-    min_step = 0.0
-    while iterations < iter_cap:
+
+    def operator(tau: dict[str, float]) -> dict[str, float]:
         nxt = {}
         for elem in ground:
             total = 0.0
             for p, witness in terms.get(elem, ()):
                 total += p * tau_of_set(tau, witness)
             nxt[elem] = 1.0 + total
-        iterations += 1
-        sup_step = 0.0
-        for elem in ground:
-            step = nxt[elem] - tau[elem]
-            sup_step = max(sup_step, abs(step))
-            min_step = min(min_step, step)
-        tau = nxt
-        if max(tau.values()) > value_cap:
-            return TauSolveResult("diverged", None, iterations, min_step)
-        if sup_step < tol:
-            return TauSolveResult("converged", tau, iterations, min_step)
-    raise IndeterminateError(
-        f"no convergence or divergence within {iter_cap} iterations",
-        iterations)
+        return nxt
+
+    status, tau, iterations, _, min_step = kleene(
+        operator, dict.fromkeys(ground, 0.0), tol, iter_cap, value_cap)
+    return TauSolveResult(status, tau, iterations, min_step)
 
 
 # ------------------------------------------- proper-coloring family builder

@@ -15,10 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .engine import IndeterminateError
-
-TOL = 1e-12
-ITER_CAP = 10 ** 4
+from .engine import ITER_CAP, TOL, kleene
 
 
 class LllError(ValueError):
@@ -135,29 +132,24 @@ def auto_mu(probs: Mapping[int, float], gamma: Mapping[int, frozenset[int]],
     """Search for feasible levels by iterating mu_i = p_i / prod(1 - mu_j).
 
     Started at mu = p the chain increases and stays below any feasible
-    level vector, so crossing 1 proves infeasibility.  Convergence yields
+    level vector, so reaching 1 proves infeasibility.  Convergence yields
     levels satisfying the lopsided condition with equality.
     """
     idx = sorted(probs)
     for i in idx:
         if not 0.0 <= probs[i] < 1.0:
             raise LllError(f"p[{i}] = {probs[i]} outside [0,1)")
-    mu = {i: probs[i] for i in idx}
-    iterations = 0
-    while iterations < iter_cap:
-        iterations += 1
+
+    def operator(mu: dict[int, float]) -> dict[int, float]:
         nxt = {}
         for i in idx:
             denom = math.prod(1.0 - mu[j] for j in gamma[i])
-            if denom <= 0.0:
-                return AutoMuResult("infeasible", None, iterations)
-            nxt[i] = probs[i] / denom
-        if any(v >= 1.0 for v in nxt.values()):
-            return AutoMuResult("infeasible", None, iterations)
-        sup_step = max(abs(nxt[i] - mu[i]) for i in idx) if idx else 0.0
-        mu = nxt
-        if sup_step < tol:
-            return AutoMuResult("converged", mu, iterations)
-    raise IndeterminateError(
-        f"no convergence or infeasibility within {iter_cap} iterations",
-        iterations)
+            nxt[i] = probs[i] / denom if denom > 0.0 else math.inf
+        return nxt
+
+    # the largest float below 1 as the cap: an entry >= 1 is infeasible
+    _, mu, iterations, _, _ = kleene(
+        operator, {i: probs[i] for i in idx}, tol, iter_cap,
+        math.nextafter(1.0, 0.0))
+    return AutoMuResult("infeasible" if mu is None else "converged", mu,
+                        iterations)

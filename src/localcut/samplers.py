@@ -18,9 +18,8 @@ import numpy as np
 from .instances import Graph, Hypergraph, ListAssignment
 
 __all__ = [
-    "Graph", "Hypergraph", "ListAssignment", "SamplerError",
-    "PaletteTooSmallError", "BudgetExceededError", "SamplerReport",
-    "moser_tardos_two_coloring", "verify_proper_2coloring",
+    "SamplerError", "PaletteTooSmallError", "BudgetExceededError",
+    "SamplerReport", "moser_tardos_two_coloring", "verify_proper_2coloring",
     "nonrep_sequence_build", "is_nonrepetitive",
     "greedy_acyclic_edge_coloring", "is_acyclic_edge_coloring",
     "is_nonrepetitive_coloring",

@@ -21,11 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from scipy.optimize import brentq
-
+from .engine import TOL
 from .instances import Hypergraph
 
-TOL = 1e-12
 GRID_POINTS = 10 ** 4
 
 
@@ -106,6 +104,21 @@ def _derivative_refine(h: Callable[[float], float], t0: float, lo: float,
     return 0.5 * (a + b)
 
 
+def _least_crossing(h: Callable[[float], float], lo: float,
+                    hi: float) -> float:
+    """Bisect h(lo) < 0 <= h(hi) down to adjacent floats and return the
+    upper one: a point satisfying the condition whose float neighbour
+    below does not."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if h(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+
+
 def scalar_feasible(cond: SeriesCondition, tol: float = TOL,
                     grid_points: int = GRID_POINTS) -> FeasibilityResult:
     """Decide the scalar condition and report the least satisfying weight.
@@ -162,7 +175,7 @@ def scalar_feasible(cond: SeriesCondition, tol: float = TOL,
     h_at_one = heval(1.0)
     if h_at_one >= -tol:
         return FeasibilityResult(True, 1.0, h_at_one, count[0])
-    root = float(brentq(h, 1.0, best_t, xtol=1e-15, rtol=8.9e-16))
+    root = _least_crossing(h, 1.0, best_t)
     count[0] += 1
     return FeasibilityResult(True, root, heval(root), count[0])
 

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
+import localcut
 from localcut.cli import main
 
 SINGLE_ARC = {
@@ -24,6 +29,17 @@ def write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+def python_process(args, hash_seed=0):
+    """Run the interpreter on args in a fresh process with this checkout
+    of localcut first on the path; return the completed process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(localcut.__file__)))
+    env = {**os.environ, "PYTHONHASHSEED": str(hash_seed),
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, timeout=120, check=True)
 
 
 # ------------------------------------------------------------- check-lcl
@@ -109,6 +125,25 @@ def test_check_family_solve_and_check(tmp_path, capsys):
 
     tight = write(tmp_path, "fam3.json", {**base, "tau": {"a": 1.1, "b": 1}})
     assert run(["check-family", tight], capsys)[0] == 1
+
+
+def test_check_family_report_ignores_the_hash_seed(tmp_path):
+    # witness products must not follow set iteration order, which changes
+    # with the string hash seed from one process to the next
+    rng = random.Random(7)
+    ground = [f"x{i}" for i in range(60)]
+    events = []
+    for elem in ground:
+        for _ in range(rng.randint(1, 3)):
+            others = rng.sample([g for g in ground if g != elem],
+                                rng.randint(2, 6))
+            events.append({"element": elem, "p": rng.uniform(0.001, 0.02),
+                           "witness": [elem, *others]})
+    path = write(tmp_path, "fam.json", {"ground": ground, "events": events})
+    argv = ["-m", "localcut.cli", "check-family", path]
+    first = python_process(argv, hash_seed=0).stdout
+    assert json.loads(first)["feasible"]
+    assert python_process(argv, hash_seed=1).stdout == first
 
 
 # -------------------------------------------------------------- check-lll
@@ -297,6 +332,12 @@ def test_peel_cli_both_verdicts(tmp_path, capsys):
 
 
 # ------------------------------------------------------- output plumbing
+
+def test_cli_import_leaves_scipy_unloaded():
+    probe = ("import sys, localcut.cli; "
+             "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    assert python_process(["-c", probe]).stdout.strip() == b"False"
+
 
 def test_output_is_byte_stable(capsys):
     argv = ["threshold", "hypcol", "--k", "12", "--variant", "improved"]

@@ -68,6 +68,17 @@ def test_sequence_list_size_three_fails():
     assert res.margin == pytest.approx(3.0 - 2.0 * math.sqrt(3.0), abs=1e-9)
 
 
+def test_sequence_crossing_is_the_least_satisfying_float():
+    cond = sequence_condition(5)
+    res = scalar_feasible(cond)
+
+    def h(t):
+        return t - 1.0 - cond.g(t)
+
+    assert res.feasible and res.margin == h(res.tau_star) >= 0.0
+    assert h(math.nextafter(res.tau_star, 1.0)) < 0.0
+
+
 def test_sequence_large_list_closed_form():
     res = nonrepetitive_sequence_feasible(100)
     want = 50.0 - 20.0 * math.sqrt(6.0)
