@@ -204,7 +204,8 @@ def _family_terms(data) -> tuple[tuple[str, ...], dict]:
     if not isinstance(data, Mapping) or "ground" not in data:
         raise SpaceError('instance needs a "ground" entry')
     ground = tuple(sorted(str(i) for i in data["ground"]))
-    if len(set(ground)) != len(ground) or not ground:
+    members = frozenset(ground)
+    if len(members) != len(ground) or not ground:
         raise SpaceError("ground set must be nonempty without duplicates")
     events = data.get("events", [])
     terms: dict[str, list[tuple[float, tuple[str, ...]]]] = \
@@ -219,7 +220,7 @@ def _family_terms(data) -> tuple[tuple[str, ...], dict]:
         if element not in terms:
             raise SpaceError(f"event {idx} names unknown element "
                              f"{element!r}")
-        if not set(witness) <= set(ground) or element not in witness:
+        if not members.issuperset(witness) or element not in witness:
             raise SpaceError(f"event {idx} witness must contain its "
                              "element and stay inside the ground set")
         if not 0.0 <= p <= 1.0:
@@ -305,6 +306,7 @@ def _feasibility_payload(result: thresholds.FeasibilityResult) -> dict:
 
 def _run_threshold(args):
     app = args.application
+    tol = _setting(args, "tol", "TOL", float, TOL)
     report: dict = {"subcommand": "threshold", "application": app}
     rows: list[dict] = []
     code = EXIT_OK
@@ -312,7 +314,8 @@ def _run_threshold(args):
         if args.k is None:
             raise SpaceError("hypcol needs --k")
         variant = args.variant or "exact"
-        got = thresholds.hypergraph_two_coloring_max_degree(args.k, variant)
+        got = thresholds.hypergraph_two_coloring_max_degree(args.k, variant,
+                                                            tol)
         report.update({"k": args.k, "variant": variant, "bound": got.bound,
                        "max_d": got.max_d,
                        "condition_feasible": got.condition_feasible})
@@ -323,13 +326,15 @@ def _run_threshold(args):
                 raise SpaceError("the lll variant has no scalar condition "
                                  "to check at --d")
             result = thresholds.scalar_feasible(
-                thresholds.two_coloring_condition(args.k, args.d, variant))
+                thresholds.two_coloring_condition(args.k, args.d, variant),
+                tol)
             report["at_d"] = {"d": args.d, **_feasibility_payload(result)}
             code = EXIT_OK if result.feasible else EXIT_NEGATIVE
     elif app == "sequence":
         if args.list_size is None:
             raise SpaceError("sequence needs --L")
-        result = thresholds.nonrepetitive_sequence_feasible(args.list_size)
+        result = thresholds.nonrepetitive_sequence_feasible(args.list_size,
+                                                            tol)
         report.update({"list_size": args.list_size,
                        **_feasibility_payload(result)})
         rows = [{"list_size": args.list_size,
@@ -338,7 +343,7 @@ def _run_threshold(args):
     elif app == "chromatic":
         if args.delta is None:
             raise SpaceError("chromatic needs --delta")
-        got = thresholds.nonrepetitive_chromatic_bound(args.delta)
+        got = thresholds.nonrepetitive_chromatic_bound(args.delta, tol)
         report.update({"delta": args.delta, "bound": got.closed_form,
                        "palette": got.palette, "y": got.y,
                        "ratio_condition_ok": got.ratio_condition_ok,
@@ -348,7 +353,7 @@ def _run_threshold(args):
     elif app == "acyclic":
         if args.delta is None or args.k is None:
             raise SpaceError("acyclic needs --delta and --k")
-        got = thresholds.acyclic_feasible(args.delta, args.k)
+        got = thresholds.acyclic_feasible(args.delta, args.k, tol)
         report.update({"delta": args.delta, "palette": args.k,
                        "extrapolated": got.extrapolated,
                        **_feasibility_payload(got.result)})

@@ -106,6 +106,14 @@ def reachable(simple: SimpleDigraph, start: str) -> frozenset[str]:
     return frozenset(seen)
 
 
+def head_reach(graph: MultiDigraph) -> dict[str, frozenset[str]]:
+    """Vertices reachable from each edge head, one search per distinct
+    head."""
+    simple = underlying_simple(graph)
+    return {head: reachable(simple, head)
+            for head in {e.head for e in graph.edges}}
+
+
 def check_weights(simple: SimpleDigraph, weights: Mapping[Arc, float]) -> None:
     """Weights must cover every arc and be >= 1."""
     for arc in simple.arcs:

@@ -17,11 +17,12 @@ the zero function (whose image is defined to be the all-ones function).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
-from .digraph import (Arc, DigraphError, MultiDigraph, SimpleDigraph,
-                      check_weights, min_product_weights, reachable,
+from .digraph import (Arc, MultiDigraph, SimpleDigraph, check_weights,
+                      head_reach, min_product_weights, reachable,
                       underlying_simple)
 from .probability import (ENUM_CAP, CutModel, ProductSpace, RiskTable,
                           risk_table_exact, vertex_probabilities)
@@ -73,8 +74,17 @@ def kleene(operator: Callable[[dict], dict], start: Mapping,
         applications)
 
 
+# One parallel edge's risk entries: the (z, r) pairs to scan, and whether
+# the arc's floor min over reach(head) of P(z) caps them.
+EdgeRow = tuple[tuple[tuple[str, float], ...], bool]
+
+
 @dataclass(frozen=True)
 class CutInstance:
+    """A digraph with its risk table.  The weight-independent parts of
+    the operator (projection, reachability, risk rows) are built on first
+    use and kept."""
+
     graph: MultiDigraph
     risks: RiskTable
     space: ProductSpace | None = None
@@ -87,9 +97,39 @@ class CutInstance:
         risks.validate(graph)
         return CutInstance(graph, risks, space, model)
 
-    @property
+    @cached_property
     def simple(self) -> SimpleDigraph:
         return underlying_simple(self.graph)
+
+    @cached_property
+    def reach(self) -> dict[str, frozenset[str]]:
+        """Vertices reachable from each vertex, itself included."""
+        simple = self.simple
+        return {v: reachable(simple, v) for v in simple.vertices}
+
+    @cached_property
+    def risk_rows(self) -> dict[Arc, tuple[EdgeRow, ...]]:
+        """Per arc, one row per parallel edge in `edges_by_arc` order.
+
+        A row keeps only the entries r != 1 and is capped by the floor:
+        unlisted entries give exactly 1 * P(z) = P(z), and a listed r <= 1
+        gives fl(r * P(z)) <= P(z), so the capped minimum is the dense one,
+        bit for bit.  An edge with some entry above 1 keeps all its
+        entries uncapped.
+        """
+        entries = self.risks.entries
+        rows = {}
+        for arc, eids in self.graph.edges_by_arc.items():
+            row = []
+            for eid in eids:
+                pairs = tuple((z, entries[(eid, z)])
+                              for z in self.reach[arc[1]])
+                if all(r <= 1.0 for _, r in pairs):
+                    row.append((tuple(p for p in pairs if p[1] != 1.0), True))
+                else:
+                    row.append((pairs, False))
+            rows[arc] = tuple(row)
+        return rows
 
 
 def _is_zero_function(weights: Mapping[Arc, float]) -> bool:
@@ -103,6 +143,24 @@ def _tail_products(inst: CutInstance,
     return {t: min_product_weights(simple, weights, t) for t in tails}
 
 
+def _floor(inst: CutInstance, head: str,
+           products: Mapping[str, float]) -> float:
+    return min(products[z] for z in inst.reach[head])
+
+
+def _edge_risk(row: EdgeRow, floor: float,
+               products: Mapping[str, float]) -> float:
+    """min over z reachable from the edge's head of r(e, z) * P(z), where
+    P holds the cheapest path products from the edge's tail."""
+    pairs, capped = row
+    risk = floor if capped else math.inf
+    for z, r in pairs:
+        scaled = r * products[z]
+        if scaled < risk:
+            risk = scaled
+    return risk
+
+
 def risk_of_edge(inst: CutInstance, weights: Mapping[Arc, float],
                  edge_id: str) -> float:
     """Effective risk of one edge under the given weights."""
@@ -110,8 +168,9 @@ def risk_of_edge(inst: CutInstance, weights: Mapping[Arc, float],
     simple = inst.simple
     check_weights(simple, weights)
     products = min_product_weights(simple, weights, edge.tail)
-    return min(inst.risks.entries[(edge_id, z)] * products[z]
-               for z in reachable(simple, edge.head))
+    arc = (edge.tail, edge.head)
+    row = inst.risk_rows[arc][inst.graph.edges_by_arc[arc].index(edge_id)]
+    return _edge_risk(row, _floor(inst, edge.head, products), products)
 
 
 def apply_risk_operator(inst: CutInstance,
@@ -126,15 +185,14 @@ def apply_risk_operator(inst: CutInstance,
     if _is_zero_function(weights):
         return {arc: 1.0 for arc in simple.arcs}
     products = _tail_products(inst, weights)
-    reach = {head: reachable(simple, head)
-             for _, head in simple.arcs}
     out: dict[Arc, float] = {}
     for arc in simple.arcs:
         tail, head = arc
+        from_tail = products[tail]
+        floor = _floor(inst, head, from_tail)
         total = 0.0
-        for eid in inst.graph.edges_by_arc[arc]:
-            total += min(inst.risks.entries[(eid, z)] * products[tail][z]
-                         for z in reach[head])
+        for row in inst.risk_rows[arc]:
+            total += _edge_risk(row, floor, from_tail)
         out[arc] = 1.0 + total
     return out
 
@@ -236,7 +294,7 @@ def probability_bounds(inst: CutInstance, weights: Mapping[Arc, float],
     pair_rows = []
     for source in sorted(simple.vertices):
         products = min_product_weights(simple, weights, source)
-        for target in sorted(reachable(simple, source)):
+        for target in sorted(inst.reach[source]):
             lower = probs[target] / products[target]
             pair_rows.append(PairBound(source, target, lower, probs[source],
                                        probs[source] >= lower - tol))
@@ -346,7 +404,7 @@ def build_nonrep_instance(lists: Sequence[Sequence], *,
     if risk_mode == "exact":
         risks = risk_table_exact(space, model, cap=cap)
     else:
-        simple = underlying_simple(graph)
+        reach = head_reach(graph)
         entries: dict[tuple[str, str], float] = {}
         for e in graph.edges:
             s, t = block_of[e.id]
@@ -354,7 +412,7 @@ def build_nonrep_instance(lists: Sequence[Sequence], *,
             bound = 1.0
             for k in range(s, s + t):
                 bound /= len(lists[k + t - 1])   # list at position k+t
-            for z in reachable(simple, e.head):
+            for z in reach[e.head]:
                 entries[(e.id, z)] = bound if z == witness else 1.0
         risks = RiskTable(entries)
         risks.validate(graph)

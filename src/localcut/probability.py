@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .digraph import MultiDigraph, reachable, underlying_simple
+from .digraph import MultiDigraph, head_reach, underlying_simple
 
 SamplePoint = dict
 Event = Callable[[SamplePoint], bool]
@@ -267,11 +267,8 @@ class RiskTable:
     entries: dict[tuple[str, str], float]
 
     def validate(self, graph: MultiDigraph) -> None:
-        simple = underlying_simple(graph)
-        want: set[tuple[str, str]] = set()
-        for e in graph.edges:
-            for z in reachable(simple, e.head):
-                want.add((e.id, z))
+        reach = head_reach(graph)
+        want = {(e.id, z) for e in graph.edges for z in reach[e.head]}
         have = set(self.entries)
         if have != want:
             missing = sorted(want - have)[:3]
@@ -279,16 +276,19 @@ class RiskTable:
             raise ValueError(f"risk table domain mismatch; "
                              f"missing={missing} extra={extra}")
         for key, p in self.entries.items():
-            if not (-1e-12 <= p <= 1.0 + 1e-12):
-                raise ValueError(f"risk {p} at {key} outside [0,1]")
+            _check_risk(key, p)
+
+
+def _check_risk(key: tuple[str, str], p: float) -> None:
+    if not (-1e-12 <= p <= 1.0 + 1e-12):
+        raise ValueError(f"risk {p} at {key} outside [0,1]")
 
 
 def risk_table_exact(space: ProductSpace, model: CutModel, *,
                      cap: int = ENUM_CAP) -> RiskTable:
     """Exact risk table by one sweep over the outcome space."""
     graph = model.digraph
-    simple = underlying_simple(graph)
-    reach = {v: reachable(simple, v) for v in graph.vertices}
+    reach = head_reach(graph)
     vertex_mass = {v: _Kahan() for v in graph.vertices}
     joint = {(e.id, z): _Kahan() for e in graph.edges for z in reach[e.head]}
     pairs_by_edge = {e.id: tuple(reach[e.head]) for e in graph.edges}
@@ -339,12 +339,10 @@ def space_from_json(obj: dict) -> ProductSpace:
 
 def risk_table_from_json(obj: dict, graph: MultiDigraph) -> RiskTable:
     """Parse {"risks": [{"edge","z","p"}, ...]}; unlisted reachable pairs
-    default to 1.0 (a trivially sound upper bound)."""
-    simple = underlying_simple(graph)
-    entries: dict[tuple[str, str], float] = {}
-    for e in graph.edges:
-        for z in reachable(simple, e.head):
-            entries[(e.id, z)] = 1.0
+    default to 1.0 (a trivially sound upper bound).  Each listed row is
+    range-checked here; the domain is right by construction."""
+    reach = head_reach(graph)
+    entries = {(e.id, z): 1.0 for e in graph.edges for z in reach[e.head]}
     try:
         rows = obj["risks"]
     except (KeyError, TypeError) as exc:
@@ -357,7 +355,6 @@ def risk_table_from_json(obj: dict, graph: MultiDigraph) -> RiskTable:
             raise SpaceError(f"bad risk row {r!r}: {exc}") from exc
         if key not in entries:
             raise SpaceError(f"risk row {key} is not a reachable pair")
+        _check_risk(key, p)
         entries[key] = p
-    table = RiskTable(entries)
-    table.validate(graph)
-    return table
+    return RiskTable(entries)

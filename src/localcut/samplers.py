@@ -10,6 +10,7 @@ and stop with an honest cap-exhausted report rather than looping.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
@@ -225,16 +226,13 @@ def _forbidden_colors(graph: Graph, edge: frozenset,
             if c is not None:
                 banned.add(c)
                 shades[c] = u
-    edge_set = set(graph.edges)
     for d, v in shades_x.items():
         u = shades_y.get(d)
         if u is None:
             continue
-        closing = frozenset((u, v))
-        if closing in edge_set:
-            c = coloring.get(closing)
-            if c is not None:
-                banned.add(c)
+        c = coloring.get(frozenset((u, v)))
+        if c is not None:
+            banned.add(c)
     return banned
 
 
@@ -337,11 +335,8 @@ def is_acyclic_edge_coloring(graph: Graph,
                                     (tuple(sorted(seen[c])),
                                      tuple(sorted(edge))))
             seen[c] = edge
-    pairs = sorted({frozenset((coloring[e], coloring[f]))
-                    for e in graph.edges for f in graph.edges
-                    if coloring[e] != coloring[f]},
-                   key=sorted)
-    for pair in pairs:
+    used = sorted({coloring[edge] for edge in graph.edges})
+    for pair in itertools.combinations(used, 2):
         adj: dict[str, list[str]] = {}
         for edge in graph.edges:
             if coloring[edge] in pair:

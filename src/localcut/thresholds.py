@@ -206,7 +206,8 @@ class HypergraphColoringBound:
     condition_feasible: bool | None   # scalar cross-check at max_d
 
 
-def hypergraph_two_coloring_max_degree(k: int, variant: str = "exact"
+def hypergraph_two_coloring_max_degree(k: int, variant: str = "exact",
+                                       tol: float = TOL
                                        ) -> HypergraphColoringBound:
     """Largest degree certified for 2-colorability at uniformity k.
 
@@ -231,7 +232,7 @@ def hypergraph_two_coloring_max_degree(k: int, variant: str = "exact"
     feasible = None
     if variant != "lll" and max_d >= 1:
         feasible = scalar_feasible(
-            two_coloring_condition(k, max_d, variant)).feasible
+            two_coloring_condition(k, max_d, variant), tol).feasible
     return HypergraphColoringBound(k, variant, bound, max_d, feasible)
 
 
@@ -282,7 +283,8 @@ class NonrepChromaticBound:
     condition_feasible: bool      # scalar cross-check at the palette size
 
 
-def nonrepetitive_chromatic_bound(delta: int) -> NonrepChromaticBound:
+def nonrepetitive_chromatic_bound(delta: int,
+                                  tol: float = TOL) -> NonrepChromaticBound:
     """Palette size guaranteeing a nonrepetitive proper coloring for max
     degree delta.  Needs delta >= 3: the closed form divides by
     delta^(1/3) - 2^(1/3)."""
@@ -298,7 +300,7 @@ def nonrepetitive_chromatic_bound(delta: int) -> NonrepChromaticBound:
     lhs = palette / d ** 2
     rhs = 1.0 / y + 1.0 / (d * (1.0 - y) ** 2)
     ratio_ok = lhs >= rhs - 1e-9 * rhs
-    result = scalar_feasible(chromatic_condition(d, float(palette)))
+    result = scalar_feasible(chromatic_condition(d, float(palette)), tol)
     return NonrepChromaticBound(delta, closed, palette, y, ratio_ok,
                                 result.feasible)
 

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import localcut
+from localcut import engine, thresholds
 from localcut.cli import main
 
 SINGLE_ARC = {
@@ -206,6 +207,38 @@ def test_threshold_acyclic_exit_codes(capsys):
                                                abs=1e-6)
     assert run(["threshold", "acyclic", "--delta", "4", "--k", "6"],
                capsys)[0] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["hypcol", "--k", "10", "--variant", "exact"],
+    ["hypcol", "--k", "10", "--variant", "exact", "--d", "19"],
+    ["sequence", "--L", "5"],
+    ["chromatic", "--delta", "5"],
+    ["acyclic", "--delta", "4", "--k", "12"]])
+def test_threshold_passes_tol_to_every_scalar_search(argv, capsys,
+                                                     monkeypatch):
+    seen = []
+    search = thresholds.scalar_feasible
+
+    def spy(cond, tol=engine.TOL, *args):
+        seen.append(tol)
+        return search(cond, tol, *args)
+
+    monkeypatch.setattr(thresholds, "scalar_feasible", spy)
+    run(["threshold", *argv, "--tol", "0.25"], capsys)
+    assert seen and all(tol == 0.25 for tol in seen)
+    seen.clear()
+    monkeypatch.setenv("LOCALCUT_TOL", "0.125")
+    run(["threshold", *argv], capsys)
+    assert seen and all(tol == 0.125 for tol in seen)
+
+
+def test_threshold_tol_moves_the_verdict(capsys):
+    # the maximum of t - 1 - g(t) at list size 3 is about -0.464
+    assert run(["threshold", "sequence", "--L", "3"], capsys)[0] == 1
+    code, out, _ = run(["threshold", "sequence", "--L", "3", "--tol", "0.5"],
+                       capsys)
+    assert code == 0 and json.loads(out)["margin"] < 0.0
 
 
 def test_threshold_chromatic_and_critical(capsys):

@@ -173,6 +173,16 @@ def test_risk_table_validation():
     bad.entries[("e1", "v")] = 1.5
     with pytest.raises(ValueError):
         bad.validate(g)
+    # the parser range-checks listed rows itself, with validate's slack
+    for p in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError):
+            risk_table_from_json(
+                {"risks": [{"edge": "e1", "z": "v", "p": p}]}, g)
+    for p in (1.0 + 1e-12, -1e-12):
+        table = risk_table_from_json(
+            {"risks": [{"edge": "e1", "z": "v", "p": p}]}, g)
+        table.validate(g)
+        assert table.entries == {("e1", "v"): p}
 
 
 def test_space_json_round_trip():
