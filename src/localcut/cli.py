@@ -506,7 +506,9 @@ def _run_validate_model(args):
             lists = ListAssignment.uniform(args.n, args.uniform)
         inst = engine.build_nonrep_instance(
             lists.lists, risk_mode=args.risk_mode, cap=cap)
-        checked = validate_cut_model(inst.space, inst.model, cap=cap)
+        checked = inst.model_check
+        if checked is None:
+            checked = validate_cut_model(inst.space, inst.model, cap=cap)
         report = {"subcommand": "validate-model", "builder": "nonrep",
                   "ok": checked.ok, "reason": checked.reason,
                   "vertices": len(inst.graph.vertices),

@@ -125,16 +125,18 @@ def check_weights(simple: SimpleDigraph, weights: Mapping[Arc, float]) -> None:
 
 
 def min_product_weights(simple: SimpleDigraph, weights: Mapping[Arc, float],
-                        start: str) -> dict[str, float]:
+                        start: str, *, check: bool = True) -> dict[str, float]:
     """Cheapest path products from start to every reachable vertex.
 
     The empty path gives the start vertex weight 1.  With all arc weights
     >= 1 the product along a path never decreases, so the usual
-    pop-cheapest-first argument applies unchanged.
+    pop-cheapest-first argument applies unchanged.  check=False skips
+    check_weights, for callers that ran it on these weights already.
     """
     if start not in simple.vertices:
         raise DigraphError(f"unknown vertex {start!r}")
-    check_weights(simple, weights)
+    if check:
+        check_weights(simple, weights)
     best: dict[str, float] = {}
     heap: list[tuple[float, str]] = [(1.0, start)]
     while heap:

@@ -24,8 +24,8 @@ from typing import Callable, Mapping, Sequence
 from .digraph import (Arc, MultiDigraph, SimpleDigraph, check_weights,
                       head_reach, min_product_weights, reachable,
                       underlying_simple)
-from .probability import (ENUM_CAP, CutModel, ProductSpace, RiskTable,
-                          risk_table_exact, vertex_probabilities)
+from .probability import (ENUM_CAP, CutModel, ModelCheck, ProductSpace,
+                          RiskTable, risk_table_exact, vertex_probabilities)
 
 TOL = 1e-12
 ITER_CAP = 10 ** 5
@@ -83,12 +83,14 @@ EdgeRow = tuple[tuple[tuple[str, float], ...], bool]
 class CutInstance:
     """A digraph with its risk table.  The weight-independent parts of
     the operator (projection, reachability, risk rows) are built on first
-    use and kept."""
+    use and kept.  model_check is the model's validation when the sweep
+    that computed the risks made it."""
 
     graph: MultiDigraph
     risks: RiskTable
     space: ProductSpace | None = None
     model: CutModel | None = None
+    model_check: ModelCheck | None = None
 
     @staticmethod
     def build(graph: MultiDigraph, risks: RiskTable,
@@ -138,9 +140,13 @@ def _is_zero_function(weights: Mapping[Arc, float]) -> bool:
 
 def _tail_products(inst: CutInstance,
                    weights: Mapping[Arc, float]) -> dict[str, dict[str, float]]:
+    """Cheapest path products from every arc tail; checks the weights
+    once for all the searches."""
     simple = inst.simple
+    check_weights(simple, weights)
     tails = {tail for tail, _ in simple.arcs}
-    return {t: min_product_weights(simple, weights, t) for t in tails}
+    return {t: min_product_weights(simple, weights, t, check=False)
+            for t in tails}
 
 
 def _floor(inst: CutInstance, head: str,
@@ -165,9 +171,7 @@ def risk_of_edge(inst: CutInstance, weights: Mapping[Arc, float],
                  edge_id: str) -> float:
     """Effective risk of one edge under the given weights."""
     edge = inst.graph.edge_by_id[edge_id]
-    simple = inst.simple
-    check_weights(simple, weights)
-    products = min_product_weights(simple, weights, edge.tail)
+    products = min_product_weights(inst.simple, weights, edge.tail)
     arc = (edge.tail, edge.head)
     row = inst.risk_rows[arc][inst.graph.edges_by_arc[arc].index(edge_id)]
     return _edge_risk(row, _floor(inst, edge.head, products), products)
@@ -334,21 +338,19 @@ def telescoping_check(a: Sequence[float], b: Sequence[float],
 
 # ------------------------------------------- nonrepetitive-sequence builder
 
-def _nonrep_prefix_length(seq: Sequence) -> int:
-    """Length of the longest prefix without two equal adjacent blocks."""
-    n = len(seq)
-    for end in range(1, n + 1):
-        # a block copy ending exactly at `end` (everything shorter was clean)
-        j = end - 1
-        for t in range(1, end // 2 + 1):
-            if all(seq[j - t - k] == seq[j - k] for k in range(t)):
-                return end - 1
-    return n
-
-
 def _blocks_equal(seq: Sequence, s: int, t: int) -> bool:
     """Does position block [s, s+t) repeat immediately after (0-based s)?"""
-    return all(seq[k] == seq[k + t] for k in range(s, s + t))
+    return seq[s:s + t] == seq[s + t:s + 2 * t]
+
+
+def _nonrep_prefix_length(seq: Sequence) -> int:
+    """Length of the longest prefix without two equal adjacent blocks."""
+    for end in range(2, len(seq) + 1):
+        # a block copy ending exactly at `end` (everything shorter was clean)
+        for t in range(1, end // 2 + 1):
+            if _blocks_equal(seq, end - 2 * t, t):
+                return end - 1
+    return len(seq)
 
 
 def build_nonrep_instance(lists: Sequence[Sequence], *,
@@ -389,20 +391,24 @@ def build_nonrep_instance(lists: Sequence[Sequence], *,
     space = ProductSpace.uniform(
         [(f"a{i}", list(values)) for i, values in enumerate(lists, start=1)])
 
+    names = [f"a{i}" for i in range(1, n + 1)]
+    prefixes = [frozenset(vertices[:good]) for good in range(n + 1)]
+    blocks = [(eid, s - 1, t) for eid, (s, t) in block_of.items()]
+
     def a_of(point) -> frozenset[str]:
-        seq = [point[f"a{i}"] for i in range(1, n + 1)]
-        good = _nonrep_prefix_length(seq)
-        return frozenset(f"v{i}" for i in range(1, good + 1))
+        return prefixes[_nonrep_prefix_length([point[a] for a in names])]
 
     def f_of(point) -> frozenset[str]:
-        seq = [point[f"a{i}"] for i in range(1, n + 1)]
-        return frozenset(eid for eid, (s, t) in block_of.items()
-                         if _blocks_equal(seq, s - 1, t))
+        seq = [point[a] for a in names]
+        return frozenset(eid for eid, s, t in blocks
+                         if _blocks_equal(seq, s, t))
 
     model = CutModel(graph, a_of, f_of)
 
+    checked = None
     if risk_mode == "exact":
-        risks = risk_table_exact(space, model, cap=cap)
+        risks, checked = risk_table_exact(space, model, cap=cap,
+                                          return_check=True)
     else:
         reach = head_reach(graph)
         entries: dict[tuple[str, str], float] = {}
@@ -416,4 +422,4 @@ def build_nonrep_instance(lists: Sequence[Sequence], *,
                 entries[(e.id, z)] = bound if z == witness else 1.0
         risks = RiskTable(entries)
         risks.validate(graph)
-    return CutInstance(graph, risks, space, model)
+    return CutInstance(graph, risks, space, model, checked)

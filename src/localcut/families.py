@@ -25,8 +25,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .digraph import MultiDigraph
 from .engine import ITER_CAP, TOL, VALUE_CAP, kleene
 from .instances import Hypergraph
-from .probability import (ENUM_CAP, CutModel, Event, ProductSpace,
-                          SamplePoint, _Kahan)
+from .probability import (ENUM_CAP, CutModel, EnumerationCapError, Event,
+                          ProductSpace, SamplePoint, _Kahan)
 
 HYPERCUBE_MAX_GROUND = 4
 
@@ -73,24 +73,70 @@ def all_subsets(ground: Sequence[str]) -> list[Subset]:
     return out
 
 
+def _bits(x: int) -> list[int]:
+    """Positions of the set bits of x, lowest first."""
+    return [k for k in range(x.bit_length()) if x >> k & 1]
+
+
+class _Lattice:
+    """Families of subsets of a ground set, held as bitsets: bit k of a
+    subset's mask stands for ground[k], and bit m of a family for the
+    subset of mask m.  The 2^n subsets count against the enumeration cap.
+    """
+
+    def __init__(self, ground: Sequence[str], cap: int = ENUM_CAP):
+        self.ground = tuple(ground)
+        self.index = {elem: k for k, elem in enumerate(self.ground)}
+        size = 1 << len(self.ground)
+        if size > cap:
+            raise EnumerationCapError(f"{size} subsets exceed cap {cap}")
+        # with_elem[k], the family of the subsets holding ground[k]: 2^k
+        # clear bits then 2^k set bits, repeated over all 2^n masks
+        full = (1 << size) - 1
+        self.with_elem = [full // ((1 << 2 * h) - 1) * (((1 << h) - 1) << h)
+                          for h in (1 << k for k in range(len(self.ground)))]
+
+    def mask(self, subset: Iterable[str]) -> int:
+        unknown = set(subset) - self.index.keys()
+        if unknown:
+            raise ValueError(f"{sorted(unknown)} not in the ground set")
+        return sum(1 << self.index[elem] for elem in subset)
+
+    def names(self, mask: int) -> list[str]:
+        return [self.ground[k] for k in _bits(mask)]
+
+    def boundary(self, family: int) -> int:
+        """Mask of the elements whose addition ejects some member.
+
+        Raises ValueError if the family is empty or not downward-closed;
+        the reason names the first member in all_subsets order that lacks
+        a subset one element smaller.
+        """
+        if not family:
+            raise ValueError("family is empty")
+        orphans = 0     # members m holding some k with m - {k} absent
+        for k, with_k in enumerate(self.with_elem):
+            orphans |= family & with_k & ~(family << (1 << k))
+        if orphans:
+            # all_subsets order: by size, then lexicographic in indices
+            m = min(_bits(orphans), key=lambda m: (m.bit_count(), _bits(m)))
+            k = next(k for k in _bits(m) if not family >> (m ^ 1 << k) & 1)
+            raise ValueError(
+                f"not downward-closed: {sorted(self.names(m))} is a member "
+                f"but {sorted(self.names(m ^ 1 << k))} is not")
+        return sum(1 << k for k, with_k in enumerate(self.with_elem)
+                   if (family & ~with_k) << (1 << k) & ~family)
+
+
 def boundary(family: Iterable[Subset], ground: Sequence[str]) -> frozenset[str]:
     """Elements whose addition can eject a member of a downward-closed
-    family.  Raises if the family is empty or not downward-closed."""
-    members = frozenset(frozenset(s) for s in family)
-    if not members:
-        raise ValueError("family is empty")
-    for s in members:
-        for elem in s:
-            if s - {elem} not in members:
-                raise ValueError(f"not downward-closed: {sorted(s)} is a member "
-                                 f"but {sorted(s - {elem})} is not")
-    out = set()
-    for elem in ground:
-        for s in members:
-            if elem not in s and s | {elem} not in members:
-                out.add(elem)
-                break
-    return frozenset(out)
+    family of subsets of the ground set.  Raises if the family is empty or
+    not downward-closed."""
+    lattice = _Lattice(ground)
+    bits = 0
+    for s in family:
+        bits |= 1 << lattice.mask(s)
+    return frozenset(lattice.names(lattice.boundary(bits)))
 
 
 @dataclass(frozen=True)
@@ -104,14 +150,21 @@ def validate_family_instance(inst: FamilyInstance, *,
                              cap: int = ENUM_CAP) -> FamilyValidation:
     """Check, on every positive-probability outcome: the family is nonempty
     and downward-closed, and every boundary element has a true event."""
+    inst.space.check_cap(cap)
+    lattice = _Lattice(inst.ground, cap)
+    subsets = [(s, 1 << lattice.mask(s)) for s in all_subsets(inst.ground)]
     for point, prob in inst.space.outcomes(cap):
         if prob <= 0.0:
             continue
+        family = 0
+        for s, bit in subsets:
+            if inst.member(point, s):
+                family |= bit
         try:
-            edge_elems = boundary(family_of(inst, point), inst.ground)
+            edge = lattice.boundary(family)
         except ValueError as exc:
             return FamilyValidation(False, point, str(exc))
-        for elem in edge_elems:
+        for elem in lattice.names(edge):
             if not any(event(point) for _, event in inst.events[elem]):
                 return FamilyValidation(
                     False, point,
@@ -333,12 +386,16 @@ def hypergraph_coloring_family(hypergraph: Hypergraph, colors: int = 2,
     space = ProductSpace.uniform(
         [(f"c_{v}", list(range(colors))) for v in hypergraph.vertices])
 
+    edge_keys = []
+    for edge in hypergraph.edges:
+        first, *rest = (f"c_{v}" for v in edge)
+        edge_keys.append((edge, first, rest))
+
     def member(point: SamplePoint, subset: Subset) -> bool:
-        for edge in hypergraph.edges:
+        for edge, first, rest in edge_keys:
             if edge <= subset:
-                it = iter(edge)
-                first = point[f"c_{next(it)}"]
-                if all(point[f"c_{v}"] == first for v in it):
+                color = point[first]
+                if all(point[key] == color for key in rest):
                     return False
         return True
 

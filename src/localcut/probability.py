@@ -85,12 +85,11 @@ class ProductSpace:
         """Yield (sample point, probability) for every outcome."""
         self.check_cap(cap)
         names = [v.name for v in self.variables]
-        pairs = [list(zip(v.values, v.weights)) for v in self.variables]
-        for combo in itertools.product(*pairs):
-            prob = 1.0
-            for _, w in combo:
-                prob *= w
-            yield dict(zip(names, (val for val, _ in combo))), prob
+        values = itertools.product(*(v.values for v in self.variables))
+        weights = itertools.product(*(v.weights for v in self.variables))
+        for combo, ws in zip(values, weights):
+            # left to right from 1.0, the same floats as a plain loop
+            yield dict(zip(names, combo)), math.prod(ws, start=1.0)
 
     def outcomes_exact(self, cap: int = ENUM_CAP) -> Iterator[tuple[SamplePoint, Fraction]]:
         """Outcome enumeration with exact rational probabilities.
@@ -229,32 +228,47 @@ class ModelCheck:
     reason: str
 
 
+def _cut_checker(graph: MultiDigraph
+                 ) -> Callable[[frozenset[str], frozenset[str]], str | None]:
+    """The per-outcome test of a cut model on this digraph.
+
+    The returned function maps (A, F) of one outcome to None when A is
+    out-closed and F is a set of known edges hitting every arc that enters
+    A, and otherwise to the reason, naming the first failure found.
+    """
+    arcs = tuple(underlying_simple(graph).arcs)
+    known = graph.edge_by_id
+    arcs_by_head: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+    for (tail, head), eids in graph.edges_by_arc.items():
+        arcs_by_head.setdefault(head, []).append((tail, eids))
+
+    def check(inside: frozenset[str], chosen: frozenset[str]) -> str | None:
+        for tail, head in arcs:
+            if tail in inside and head not in inside:
+                return f"A not out-closed: arc ({tail},{head})"
+        for eid in chosen:
+            if eid not in known:
+                return f"F names unknown edge {eid!r}"
+        for head in inside:
+            for tail, eids in arcs_by_head.get(head, ()):
+                if tail not in inside and chosen.isdisjoint(eids):
+                    return f"F misses boundary arc ({tail},{head})"
+        return None
+
+    return check
+
+
 def validate_cut_model(space: ProductSpace, model: CutModel, *,
                        cap: int = ENUM_CAP) -> ModelCheck:
     """Check out-closure of A and cut coverage of F on every outcome of
     positive probability."""
-    graph = model.digraph
-    simple = underlying_simple(graph)
-    arcs_by_head: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
-    for (tail, head), eids in graph.edges_by_arc.items():
-        arcs_by_head.setdefault(head, []).append((tail, eids))
+    check = _cut_checker(model.digraph)
     for point, prob in space.outcomes(cap):
         if prob <= 0.0:
             continue
-        inside = model.a_of(point)
-        for tail, head in simple.arcs:
-            if tail in inside and head not in inside:
-                return ModelCheck(False, point,
-                                  f"A not out-closed: arc ({tail},{head})")
-        chosen = model.f_of(point)
-        for eid in chosen:
-            if eid not in graph.edge_by_id:
-                return ModelCheck(False, point, f"F names unknown edge {eid!r}")
-        for head in inside:
-            for tail, eids in arcs_by_head.get(head, ()):
-                if tail not in inside and not any(e in chosen for e in eids):
-                    return ModelCheck(False, point,
-                                      f"F misses boundary arc ({tail},{head})")
+        reason = check(model.a_of(point), model.f_of(point))
+        if reason is not None:
+            return ModelCheck(False, point, reason)
     return ModelCheck(True, None, "ok")
 
 
@@ -285,31 +299,45 @@ def _check_risk(key: tuple[str, str], p: float) -> None:
 
 
 def risk_table_exact(space: ProductSpace, model: CutModel, *,
-                     cap: int = ENUM_CAP) -> RiskTable:
-    """Exact risk table by one sweep over the outcome space."""
+                     cap: int = ENUM_CAP, return_check: bool = False
+                     ) -> RiskTable | tuple[RiskTable, ModelCheck]:
+    """Exact risk table by one sweep over the outcome space.
+
+    The same sweep runs validate_cut_model's test on each outcome until
+    the first failure, so with return_check=True the result is the pair
+    (table, ModelCheck), the check being the one validate_cut_model
+    gives.  Edges that F names but the digraph lacks add no mass.
+    """
     graph = model.digraph
     reach = head_reach(graph)
+    check = _cut_checker(graph)
+    checked = ModelCheck(True, None, "ok")
     vertex_mass = {v: _Kahan() for v in graph.vertices}
     joint = {(e.id, z): _Kahan() for e in graph.edges for z in reach[e.head]}
-    pairs_by_edge = {e.id: tuple(reach[e.head]) for e in graph.edges}
+    rows = {e.id: tuple((z, joint[(e.id, z)]) for z in reach[e.head])
+            for e in graph.edges}
     for point, prob in space.outcomes(cap):
         if prob <= 0.0:
             continue
         inside = model.a_of(point)
         chosen = model.f_of(point)
+        if checked.ok:
+            reason = check(inside, chosen)
+            if reason is not None:
+                checked = ModelCheck(False, point, reason)
         for v in inside:
             vertex_mass[v].add(prob)
         for eid in chosen:
-            for z in pairs_by_edge[eid]:
+            for z, acc in rows.get(eid, ()):
                 if z in inside:
-                    joint[(eid, z)].add(prob)
+                    acc.add(prob)
     entries = {}
     for key, acc in joint.items():
         base = vertex_mass[key[1]].total
         entries[key] = min(acc.total / base, 1.0) if base > 0.0 else 0.0
     table = RiskTable(entries)
     table.validate(graph)
-    return table
+    return (table, checked) if return_check else table
 
 
 def vertex_probabilities(space: ProductSpace, model: CutModel, *,

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from localcut import engine
-from localcut.digraph import (MultiDigraph, min_product_weights, reachable,
+from localcut.digraph import (DigraphError, MultiDigraph,
+                              min_product_weights, reachable,
                               underlying_simple)
 from localcut.engine import (TOL, CutInstance, apply_risk_operator,
                              build_nonrep_instance, kleene,
@@ -180,3 +181,28 @@ def test_bound_mode_searches_reachability_once_per_head(monkeypatch):
     # validate-model reports the dense domain size
     assert len(inst.risks.entries) == sum(
         len(reachable(inst.simple, e.head)) for e in inst.graph.edges)
+
+
+def test_operator_checks_weights_once_per_application(monkeypatch):
+    from localcut import digraph
+    inst = build_nonrep_instance([[0, 1, 2, 3]] * 12, risk_mode="bound")
+    check_weights = digraph.check_weights
+    calls = []
+
+    def counted(simple, weights):
+        calls.append(len(weights))
+        return check_weights(simple, weights)
+
+    monkeypatch.setattr(engine, "check_weights", counted)
+    monkeypatch.setattr(digraph, "check_weights", counted)
+    res = least_weight_solution(inst)
+    # every application but the zero-function one, plus the final check
+    assert len(calls) == res.iterations
+    arcs = sorted(inst.simple.arcs)
+    low = dict.fromkeys(arcs, 2.0)
+    low[arcs[3]] = 0.5
+    with pytest.raises(DigraphError, match=r"weight 0.5 on arc .* below 1"):
+        apply_risk_operator(inst, low)
+    del low[arcs[3]]
+    with pytest.raises(DigraphError, match="no weight for arc"):
+        apply_risk_operator(inst, low)
