@@ -407,8 +407,7 @@ def build_nonrep_instance(lists: Sequence[Sequence], *,
 
     checked = None
     if risk_mode == "exact":
-        risks, checked = risk_table_exact(space, model, cap=cap,
-                                          return_check=True)
+        risks, checked = risk_table_exact(space, model, cap=cap)
     else:
         reach = head_reach(graph)
         entries: dict[tuple[str, str], float] = {}

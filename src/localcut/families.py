@@ -91,10 +91,14 @@ class _Lattice:
         if size > cap:
             raise EnumerationCapError(f"{size} subsets exceed cap {cap}")
         # with_elem[k], the family of the subsets holding ground[k]: 2^k
-        # clear bits then 2^k set bits, repeated over all 2^n masks
-        full = (1 << size) - 1
-        self.with_elem = [full // ((1 << 2 * h) - 1) * (((1 << h) - 1) << h)
-                          for h in (1 << k for k in range(len(self.ground)))]
+        # clear bits then 2^k set bits, doubled up to all 2^n masks
+        self.with_elem = []
+        for k in range(len(self.ground)):
+            h = 1 << k
+            bits, width = ((1 << h) - 1) << h, 2 * h
+            while width < size:
+                bits, width = bits | bits << width, 2 * width
+            self.with_elem.append(bits)
 
     def mask(self, subset: Iterable[str]) -> int:
         unknown = set(subset) - self.index.keys()
@@ -104,6 +108,19 @@ class _Lattice:
 
     def names(self, mask: int) -> list[str]:
         return [self.ground[k] for k in _bits(mask)]
+
+    def first(self, family: int) -> int:
+        """Mask of the first member of a nonempty family in all_subsets
+        order: by size, then lexicographic in ground indices."""
+        # one byte string, so each membership test is a byte lookup and
+        # not a shift of the whole 2^n-bit family
+        raw = family.to_bytes((1 << len(self.ground)) // 8 + 1, "little")
+        for r in range(len(self.ground) + 1):
+            for combo in itertools.combinations(range(len(self.ground)), r):
+                m = sum(1 << k for k in combo)
+                if raw[m >> 3] >> (m & 7) & 1:
+                    return m
+        raise ValueError("family is empty")
 
     def boundary(self, family: int) -> int:
         """Mask of the elements whose addition ejects some member.
@@ -118,8 +135,7 @@ class _Lattice:
         for k, with_k in enumerate(self.with_elem):
             orphans |= family & with_k & ~(family << (1 << k))
         if orphans:
-            # all_subsets order: by size, then lexicographic in indices
-            m = min(_bits(orphans), key=lambda m: (m.bit_count(), _bits(m)))
+            m = self.first(orphans)
             k = next(k for k in _bits(m) if not family >> (m ^ 1 << k) & 1)
             raise ValueError(
                 f"not downward-closed: {sorted(self.names(m))} is a member "
@@ -130,8 +146,14 @@ class _Lattice:
 
 def boundary(family: Iterable[Subset], ground: Sequence[str]) -> frozenset[str]:
     """Elements whose addition can eject a member of a downward-closed
-    family of subsets of the ground set.  Raises if the family is empty or
-    not downward-closed."""
+    family of subsets of the ground set.
+
+    Raises ValueError if the family is empty, not downward-closed or has
+    a member outside the ground set.  The family is held as a bitset over
+    all 2^len(ground) subsets, so a ground set whose subsets exceed
+    ENUM_CAP (more than 22 elements) raises EnumerationCapError, however
+    small the family.
+    """
     lattice = _Lattice(ground)
     bits = 0
     for s in family:

@@ -299,14 +299,14 @@ def _check_risk(key: tuple[str, str], p: float) -> None:
 
 
 def risk_table_exact(space: ProductSpace, model: CutModel, *,
-                     cap: int = ENUM_CAP, return_check: bool = False
-                     ) -> RiskTable | tuple[RiskTable, ModelCheck]:
-    """Exact risk table by one sweep over the outcome space.
+                     cap: int = ENUM_CAP) -> tuple[RiskTable, ModelCheck]:
+    """Exact risk table by one sweep over the outcome space, with the
+    model's check.
 
     The same sweep runs validate_cut_model's test on each outcome until
-    the first failure, so with return_check=True the result is the pair
-    (table, ModelCheck), the check being the one validate_cut_model
-    gives.  Edges that F names but the digraph lacks add no mass.
+    the first failure, so the ModelCheck returned with the table is the
+    one validate_cut_model gives.  Edges that F names but the digraph
+    lacks add no mass; the check reports them.
     """
     graph = model.digraph
     reach = head_reach(graph)
@@ -337,7 +337,7 @@ def risk_table_exact(space: ProductSpace, model: CutModel, *,
         entries[key] = min(acc.total / base, 1.0) if base > 0.0 else 0.0
     table = RiskTable(entries)
     table.validate(graph)
-    return (table, checked) if return_check else table
+    return table, checked
 
 
 def vertex_probabilities(space: ProductSpace, model: CutModel, *,

@@ -55,7 +55,8 @@ def solved_corpus():
     start = time.perf_counter()
     rows = []
     for ci in corpus(200):
-        risks = risk_table_exact(ci.space, ci.model)
+        risks, checked = risk_table_exact(ci.space, ci.model)
+        assert checked.ok, checked.reason
         cut = CutInstance.build(ci.graph, risks, ci.space, ci.model)
         try:
             res = least_weight_solution(cut)

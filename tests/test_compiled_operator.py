@@ -71,7 +71,8 @@ def assert_matches_dense(inst, rng, iter_cap=engine.ITER_CAP):
 def test_corpus_matches_dense_reference():
     rng = np.random.default_rng(3)
     for ci in corpus():
-        risks = risk_table_exact(ci.space, ci.model)
+        risks, checked = risk_table_exact(ci.space, ci.model)
+        assert checked.ok, checked.reason
         assert_matches_dense(CutInstance.build(ci.graph, risks), rng)
 
 

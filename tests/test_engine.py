@@ -80,9 +80,8 @@ def test_least_solution_is_dominated_by_feasible_weights():
     checked = 0
     for inst in corpus(30):
         from localcut.probability import risk_table_exact
-        ci = CutInstance.build(inst.graph,
-                               risk_table_exact(inst.space, inst.model),
-                               inst.space, inst.model)
+        risks, _ = risk_table_exact(inst.space, inst.model)
+        ci = CutInstance.build(inst.graph, risks, inst.space, inst.model)
         try:
             res = least_weight_solution(ci)
         except IndeterminateError:
@@ -105,9 +104,8 @@ def test_probability_bounds_requires_space_and_feasibility():
         probability_bounds(ci, {("x", "y"): 2.0})
     inst = corpus(1)[0]
     from localcut.probability import risk_table_exact
-    ci = CutInstance.build(inst.graph,
-                           risk_table_exact(inst.space, inst.model),
-                           inst.space, inst.model)
+    risks, _ = risk_table_exact(inst.space, inst.model)
+    ci = CutInstance.build(inst.graph, risks, inst.space, inst.model)
     with pytest.raises(ValueError):
         probability_bounds(ci, {arc: 1.0 for arc in ci.simple.arcs})
 

@@ -174,7 +174,8 @@ def test_hypercube_model_and_weights_check_out():
     tau = {i: 2.0 for i in inst.ground}
     red = hypercube_digraph(inst, tau)
     assert validate_cut_model(inst.space, red.model).ok
-    risks = risk_table_exact(inst.space, red.model)
+    risks, checked = risk_table_exact(inst.space, red.model)
+    assert checked.ok, checked.reason
     ci = CutInstance.build(red.graph, risks, inst.space, red.model)
     assert check_weight_condition(ci, red.weights).feasible
 
@@ -185,7 +186,7 @@ def test_hypercube_filler_edge_for_empty_bundles():
                                   {"u": inst.events["u"]})
     red = hypercube_digraph(hollow, {"u": 2.0, "v": 1.0})
     assert "v|{}|never" in red.graph.edge_by_id
-    risks = risk_table_exact(inst.space, red.model)
+    risks, _ = risk_table_exact(inst.space, red.model)
     for (eid, z), p in risks.entries.items():
         if "never" in eid:
             assert p == 0.0

@@ -142,7 +142,8 @@ def test_zero_probability_outcomes_are_ignored():
 
 def test_risk_table_exact_matches_direct_conditionals():
     for inst in corpus(12):
-        table = risk_table_exact(inst.space, inst.model)
+        table, checked = risk_table_exact(inst.space, inst.model)
+        assert checked.ok, checked.reason
         for (eid, z), p in table.entries.items():
             want = cond_prob(inst.space,
                              lambda pt, eid=eid: eid in inst.model.f_of(pt),

@@ -25,8 +25,9 @@ from localcut.families import (FamilyInstance, all_subsets, boundary,
                                family_of, hypergraph_coloring_family,
                                validate_family_instance)
 from localcut.instances import Hypergraph
-from localcut.probability import (CutModel, ModelCheck, ProductSpace, _Kahan,
-                                  risk_table_exact, validate_cut_model)
+from localcut.probability import (CutModel, EnumerationCapError, ModelCheck,
+                                  ProductSpace, _Kahan, risk_table_exact,
+                                  validate_cut_model)
 
 from corpus import corpus
 
@@ -88,11 +89,10 @@ def reference_check(space, model):
 
 
 def assert_fused_matches(space, model):
-    table, checked = risk_table_exact(space, model, return_check=True)
+    table, checked = risk_table_exact(space, model)
     assert table.entries == reference_table(space, model)
     assert checked == reference_check(space, model)
     assert checked == validate_cut_model(space, model)
-    assert risk_table_exact(space, model).entries == table.entries
     return checked
 
 
@@ -349,6 +349,26 @@ def test_boundary_matches_frozenset_reference_on_random_families():
         assert boundary(closed, ground) == reference_boundary(closed, ground)
     with pytest.raises(ValueError):
         boundary([frozenset(), frozenset({"t"})], ground)
+
+
+def test_boundary_on_large_ground_sets():
+    # the first offending member sits high in the 2^20-bit family
+    ground = [f"g{i:02d}" for i in range(20)]
+    with pytest.raises(ValueError) as got:
+        boundary([frozenset(), frozenset(ground[-2:])], ground)
+    assert str(got.value) == ("not downward-closed: ['g18', 'g19'] is a "
+                              "member but ['g19'] is not")
+    # only the full set is offending: the walk passes every smaller size
+    small = ground[:16]
+    with pytest.raises(ValueError) as got:
+        boundary([frozenset(), frozenset(small)], small)
+    assert str(got.value) == (f"not downward-closed: {small} is a member "
+                              f"but {small[1:]} is not")
+    assert boundary([frozenset(), frozenset(ground[:1])], ground) == \
+        frozenset(ground[1:])
+    # the bitset spans all 2^23 subsets, past the enumeration cap
+    with pytest.raises(EnumerationCapError):
+        boundary([frozenset()], [f"g{i:02d}" for i in range(23)])
 
 
 NOT_CLOSED_SCRIPT = """
