@@ -1,13 +1,14 @@
 """Command-line frontend.
 
 Subcommands wire JSON instance files to the checkers, solvers, and
-samplers, and emit schema-stable reports.  Exit codes separate the four
+samplers, and emit schema-stable reports.  Exit codes separate the five
 kinds of outcome so parameter scans can branch on them:
 
     0  feasible / success (verifier-backed)
     1  infeasible, diverged, or object not found: a valid negative verdict
     2  usage, IO, or schema error
     3  indeterminate: an iteration/enumeration cap was hit
+    4  internal fault: a bug, e.g. a verifier rejected a finished object
 
 Reports are byte-stable for identical inputs: JSON with sorted keys and
 floats at 17 significant digits, or CSV with a fixed per-subcommand
@@ -49,6 +50,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
+EXIT_INTERNAL = 4
 
 _ENV_PREFIX = "LOCALCUT_"
 
@@ -433,7 +435,12 @@ def _run_sample(args):
     seed = _setting(args, "seed", "SEED", int, 0)
     cap = _setting(args, "cap", "CAP", int, 10 ** 5)
     jobs = _setting(args, "jobs", "JOBS", int, 1)
-    runs = args.runs or 1
+    runs = 1 if args.runs is None else args.runs
+    if runs < 1:
+        raise SpaceError(f"--runs must be at least 1, got {runs}")
+    if jobs < 1:
+        raise SpaceError(f"--jobs (or {_ENV_PREFIX}JOBS) must be at least 1, "
+                         f"got {jobs}")
     if kind == "2col":
         if args.instance:
             payload = (hypergraph_from_json(_load_json(args.instance)),)
@@ -669,6 +676,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
     fmt = _setting(args, "format", "FORMAT", str, "json")
     if fmt not in ("json", "csv"):
         print(f"error: unknown format {fmt!r}", file=sys.stderr)

@@ -103,29 +103,18 @@ def _symbol_codes(symbols: Sequence[Hashable],
             table[s] = len(table)
 
 
-def _trailing_runs(codes: np.ndarray, length: int, size: int) -> np.ndarray:
-    """runs[t] = number of trailing positions j with
-    codes[length-1-j] == codes[length-1-j-t], for shifts t = 1..length-1.
+def _shortest_square(codes: np.ndarray, m: int) -> int:
+    """Half length of the shortest doubled block ending at codes[m], or 0.
 
-    Levels are peeled vectorized; surviving shifts shrink geometrically,
-    so the expected cost is linear in the buffer length.
-    """
-    runs = np.zeros(size, dtype=np.int64)
-    if length < 2:
-        return runs
-    shifts = np.arange(1, length)
-    active = np.arange(length - 1)
+    All shifts t <= (m+1)//2 are tested together, one depth j at a time:
+    shift t survives depth j while codes[m-j] == codes[m-j-t].  Shifts
+    finish in increasing order, so the first to reach depth t wins."""
+    alive = np.arange(1, (m + 1) // 2 + 1)
     depth = 0
-    while active.size:
-        pos = length - 1 - depth
-        prev = pos - shifts[active]
-        ok = prev >= 0
-        matched = np.zeros(active.size, dtype=bool)
-        matched[ok] = codes[prev[ok]] == codes[pos]
-        runs[shifts[active[matched]]] += 1
-        active = active[matched]
+    while alive.size and alive[0] > depth:
+        alive = alive[codes[m - depth - alive] == codes[m - depth]]
         depth += 1
-    return runs
+    return int(alive[0]) if alive.size else 0
 
 
 def nonrep_sequence_build(lists: ListAssignment, seed: int,
@@ -136,9 +125,10 @@ def nonrep_sequence_build(lists: ListAssignment, seed: int,
     symbol completes a doubled block, erase the block's second half
     (shortest block first) and keep drawing.
 
-    Detection rides on a maintained trailing-run table: after appending
-    at 0-based position m the suffix of length 2t is doubled exactly when
-    the run at shift t reaches t.
+    The buffer is square-free before every draw, so any doubled block
+    the new symbol creates ends at it.  Erasing that block's second half
+    leaves a prefix of the previous buffer, so the invariant holds again.
+    No detection state is kept between draws.
     """
     if cap < 0:
         raise SamplerError("cap must be nonnegative")
@@ -149,8 +139,6 @@ def nonrep_sequence_build(lists: ListAssignment, seed: int,
         _symbol_codes(symbols, table)
     codes = np.zeros(n, dtype=np.int64)
     buf: list[Hashable] = []
-    runs = np.zeros(n + 1, dtype=np.int64)
-    shifts = np.arange(n + 1, dtype=np.int64)
     draws = 0
     while len(buf) < n:
         if draws >= cap:
@@ -162,16 +150,9 @@ def nonrep_sequence_build(lists: ListAssignment, seed: int,
         draws += 1
         codes[position] = table[symbol]
         buf.append(symbol)
-        m = position
-        if m:
-            matches = codes[m - 1::-1] == codes[m]
-            runs[1:m + 1] = (runs[1:m + 1] + 1) * matches
-        half = (m + 1) // 2
-        hits = np.nonzero(runs[1:half + 1] >= shifts[1:half + 1])[0]
-        if hits.size:
-            t = int(hits[0]) + 1
+        t = _shortest_square(codes, position)
+        if t:
             del buf[-t:]
-            runs = _trailing_runs(codes, len(buf), n + 1)
     sequence = tuple(buf)
     check = is_nonrepetitive(sequence)
     if not check.ok:

@@ -327,6 +327,35 @@ def test_sample_cap_exhaustion_is_indeterminate(capsys):
     assert code == 3 and report["successes"] == 0
 
 
+@pytest.mark.parametrize("runs", ["-1", "0"])
+def test_sample_rejects_runs_below_one(runs, capsys):
+    code, out, err = run(["sample", "nonrep-seq", "--n", "5", "--uniform",
+                          "4", "--runs", runs], capsys)
+    assert code == 2 and out == "" and "--runs" in err
+
+
+@pytest.mark.parametrize("flag, env", [(["--jobs", "-2"], None),
+                                       (["--jobs", "0"], None),
+                                       ([], "0")])
+def test_sample_rejects_jobs_below_one(flag, env, monkeypatch, capsys):
+    if env is not None:
+        monkeypatch.setenv("LOCALCUT_JOBS", env)
+    code, out, err = run(["sample", "2col", "--n", "16", "--k", "8", "--d",
+                          "2", "--runs", "2", *flag], capsys)
+    assert code == 2 and out == "" and "--jobs" in err
+
+
+def test_internal_fault_exits_4(monkeypatch, capsys):
+    from localcut import samplers
+    monkeypatch.setattr(samplers, "verify_proper_2coloring",
+                        lambda hypergraph, coloring: (False, None))
+    code, out, err = run(["sample", "2col", "--n", "16", "--k", "8",
+                          "--d", "2", "--seed", "0"], capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("internal error:")
+    assert "verifier rejected a finished coloring" in err
+
+
 # --------------------------------------------------------- validate-model
 
 def test_validate_model_builders(capsys):

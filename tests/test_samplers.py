@@ -1,12 +1,15 @@
 """Randomized constructions and their independent verifiers."""
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from localcut.instances import Graph, Hypergraph, ListAssignment
 from localcut.samplers import (BudgetExceededError, PaletteTooSmallError,
-                               SamplerError, greedy_acyclic_edge_coloring,
+                               SamplerError, _shortest_square,
+                               greedy_acyclic_edge_coloring,
                                is_acyclic_edge_coloring, is_nonrepetitive,
                                is_nonrepetitive_coloring,
                                moser_tardos_two_coloring,
@@ -112,6 +115,61 @@ def test_is_nonrepetitive_on_builder_output_prefixes():
     assert report.success
     for end in range(len(seq) + 1):
         assert is_nonrepetitive(seq[:end]).ok
+
+
+def naive_nonrep_build(lists, seed, cap):
+    """Erase-on-repeat by slice comparison at the end of the buffer,
+    shortest doubled block first, on the sampler's draw stream."""
+    rng = np.random.default_rng(seed)
+    buf, draws = [], 0
+    while len(buf) < len(lists.lists):
+        if draws >= cap:
+            return None, draws, "draw cap exhausted"
+        symbols = lists.lists[len(buf)]
+        buf.append(symbols[int(rng.integers(0, len(symbols)))])
+        draws += 1
+        for t in range(1, len(buf) // 2 + 1):
+            if buf[-2 * t:-t] == buf[-t:]:
+                del buf[-t:]
+                break
+    return tuple(buf), draws, ""
+
+
+def _nonrep_cases():
+    rng = random.Random(3)
+    for size in (2, 3, 4):
+        for n in (1, 7, 60, 200):
+            yield ListAssignment.uniform(n, size)
+    alphabet = "abcdefg"
+    for _ in range(8):
+        n = rng.randint(1, 200)
+        yield ListAssignment.build(
+            [rng.sample(alphabet, rng.randint(1, 4)) for _ in range(n)])
+
+
+@pytest.mark.parametrize("cap", [0, 40, 400, 2000])
+def test_nonrep_build_matches_naive_builder(cap):
+    outcomes = set()
+    for lists in _nonrep_cases():
+        for seed in range(4):
+            seq, report = nonrep_sequence_build(lists, seed, cap)
+            want, draws, note = naive_nonrep_build(lists, seed, cap)
+            assert (seq, report.steps, report.note) == (want, draws, note)
+            assert report.success == (want is not None)
+            outcomes.add(report.success)
+    if cap:
+        assert outcomes == {True, False}     # caps both hit and not hit
+
+
+def test_shortest_square_against_brute_force():
+    for length in range(1, 9):
+        for seq in itertools.product(range(3), repeat=length):
+            codes = np.array(seq, dtype=np.int64)
+            for m in range(length):
+                want = next((t for t in range(1, (m + 1) // 2 + 1)
+                             if seq[m - 2 * t + 1:m - t + 1]
+                             == seq[m - t + 1:m + 1]), 0)
+                assert _shortest_square(codes, m) == want
 
 
 # --------------------------------------------- acyclic edge coloring
