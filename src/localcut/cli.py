@@ -441,6 +441,8 @@ def _run_sample(args):
     if jobs < 1:
         raise SpaceError(f"--jobs (or {_ENV_PREFIX}JOBS) must be at least 1, "
                          f"got {jobs}")
+    if args.edges is not None and args.edges < 1:
+        raise SpaceError(f"--edges must be at least 1, got {args.edges}")
     if kind == "2col":
         if args.instance:
             payload = (hypergraph_from_json(_load_json(args.instance)),)
@@ -463,9 +465,9 @@ def _run_sample(args):
         else:
             if args.n is None or args.delta is None:
                 raise SpaceError("acyclic needs --instance or --n --delta")
-            graph = random_graph_max_degree(
-                args.n, args.delta, args.edges or args.n * args.delta // 2,
-                seed)
+            edges = (args.n * args.delta // 2 if args.edges is None
+                     else args.edges)
+            graph = random_graph_max_degree(args.n, args.delta, edges, seed)
         palette = args.k if args.k is not None else \
             4 * (graph.max_degree - 1)
         if palette < 1:
@@ -520,7 +522,8 @@ def _run_validate_model(args):
                   "ok": checked.ok, "reason": checked.reason,
                   "vertices": len(inst.graph.vertices),
                   "edges": len(inst.graph.edges),
-                  "risk_entries": len(inst.risks.entries)}
+                  "risk_entries": sum(len(inst.reach[e.head])
+                                      for e in inst.graph.edges)}
         rows = [{"builder": "nonrep", "ok": checked.ok,
                  "reason": checked.reason}]
         return (EXIT_OK if checked.ok else EXIT_NEGATIVE), report, rows
@@ -573,29 +576,30 @@ def _build_parser() -> argparse.ArgumentParser:
                     "cut-based probabilistic feasibility conditions.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, instance=True):
+    def common(p, *settings, instance=True):
+        """--format, --out and the named numeric settings, which are the
+        ones the subcommand's handler reads."""
         if instance:
             p.add_argument("instance", help="instance JSON file")
         p.add_argument("--format", choices=("json", "csv"), default=None)
         p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--cap", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None)
+        for name in settings:
+            p.add_argument(f"--{name}", type=float if name == "tol" else int,
+                           default=None)
 
     p = sub.add_parser("check-lcl", help="check or solve arc weights")
-    common(p)
+    common(p, "tol", "cap")
     p.add_argument("--weights", default=None,
                    help="weights JSON; omit to solve for the least ones")
     p.set_defaults(handler=_run_check_lcl)
 
     p = sub.add_parser("check-family",
                        help="check or solve per-element weights")
-    common(p)
+    common(p, "tol", "cap")
     p.set_defaults(handler=_run_check_family)
 
     p = sub.add_parser("check-lll", help="product-form condition check")
-    common(p)
+    common(p, "tol", "cap")
     p.add_argument("--auto-mu", action="store_true",
                    help="iterate slack parameters from the probabilities")
     p.set_defaults(handler=_run_check_lll)
@@ -604,7 +608,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("application",
                    choices=("hypcol", "sequence", "chromatic", "acyclic",
                             "critical"))
-    common(p, instance=False)
+    common(p, "tol", instance=False)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--delta", type=int, default=None)
@@ -618,12 +622,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_run_threshold)
 
     p = sub.add_parser("choice", help="expectation condition + search")
-    common(p)
+    common(p, "seed", "cap")
     p.set_defaults(handler=_run_choice)
 
     p = sub.add_parser("sample", help="randomized constructions")
     p.add_argument("kind", choices=("2col", "nonrep-seq", "acyclic"))
-    common(p, instance=False)
+    common(p, "seed", "cap", "jobs", instance=False)
     p.add_argument("--instance", default=None, help="instance JSON file")
     p.add_argument("--runs", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
@@ -638,7 +642,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-model",
                        help="exhaustively validate a built model")
     p.add_argument("builder", choices=("nonrep", "hypcol2"))
-    common(p, instance=False)
+    common(p, "seed", "cap", instance=False)
     p.add_argument("--instance", default=None, help="instance JSON file")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)

@@ -22,8 +22,7 @@ from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from .digraph import (Arc, MultiDigraph, SimpleDigraph, check_weights,
-                      head_reach, min_product_weights, reachable,
-                      underlying_simple)
+                      min_product_weights, reachable, underlying_simple)
 from .probability import (ENUM_CAP, CutModel, ModelCheck, ProductSpace,
                           RiskTable, risk_table_exact, vertex_probabilities)
 
@@ -113,23 +112,26 @@ class CutInstance:
     def risk_rows(self) -> dict[Arc, tuple[EdgeRow, ...]]:
         """Per arc, one row per parallel edge in `edges_by_arc` order.
 
-        A row keeps only the entries r != 1 and is capped by the floor:
-        unlisted entries give exactly 1 * P(z) = P(z), and a listed r <= 1
-        gives fl(r * P(z)) <= P(z), so the capped minimum is the dense one,
-        bit for bit.  An edge with some entry above 1 keeps all its
-        entries uncapped.
+        A row keeps only the edge's stored entries r != 1 and is capped by
+        the floor: a pair read as 1 gives exactly 1 * P(z) = P(z), and a
+        stored r <= 1 gives fl(r * P(z)) <= P(z), so the capped minimum is
+        the dense one, bit for bit.  An edge with a stored entry above 1
+        scans every z reachable from its head uncapped.
         """
         entries = self.risks.entries
+        stored: dict[str, list[tuple[str, float]]] = {}
+        for (eid, z), r in entries.items():
+            stored.setdefault(eid, []).append((z, r))
         rows = {}
         for arc, eids in self.graph.edges_by_arc.items():
             row = []
             for eid in eids:
-                pairs = tuple((z, entries[(eid, z)])
-                              for z in self.reach[arc[1]])
+                pairs = stored.get(eid, ())
                 if all(r <= 1.0 for _, r in pairs):
                     row.append((tuple(p for p in pairs if p[1] != 1.0), True))
                 else:
-                    row.append((pairs, False))
+                    row.append((tuple((z, entries.get((eid, z), 1.0))
+                                      for z in self.reach[arc[1]]), False))
             rows[arc] = tuple(row)
         return rows
 
@@ -365,8 +367,8 @@ def build_nonrep_instance(lists: Sequence[Sequence], *,
     pairs that actually repeated.
 
     risk_mode "exact" enumerates the product space for the risk table;
-    "bound" stores the per-position product bound at the witness vertex
-    v_{s+t-1} and a sound 1.0 everywhere else, and needs no enumeration.
+    "bound" stores only the per-position product bound at the witness
+    vertex v_{s+t-1}, and needs no enumeration.
     """
     n = len(lists)
     if n == 0:
@@ -409,16 +411,13 @@ def build_nonrep_instance(lists: Sequence[Sequence], *,
     if risk_mode == "exact":
         risks, checked = risk_table_exact(space, model, cap=cap)
     else:
-        reach = head_reach(graph)
-        entries: dict[tuple[str, str], float] = {}
+        entries = {}
         for e in graph.edges:
             s, t = block_of[e.id]
-            witness = f"v{s + t - 1}"
             bound = 1.0
             for k in range(s, s + t):
                 bound /= len(lists[k + t - 1])   # list at position k+t
-            for z in reach[e.head]:
-                entries[(e.id, z)] = bound if z == witness else 1.0
+            entries[(e.id, f"v{s + t - 1}")] = bound
         risks = RiskTable(entries)
         risks.validate(graph)
     return CutInstance(graph, risks, space, model, checked)

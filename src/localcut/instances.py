@@ -41,26 +41,12 @@ class Hypergraph:
         return Hypergraph(vs, tuple(out))
 
     @cached_property
-    def degree(self) -> dict[str, int]:
-        deg = {v: 0 for v in self.vertices}
-        for edge in self.edges:
-            for v in edge:
-                deg[v] += 1
-        return deg
-
-    @cached_property
     def edges_at(self) -> dict[str, tuple[int, ...]]:
         at: dict[str, list[int]] = {v: [] for v in self.vertices}
         for idx, edge in enumerate(self.edges):
             for v in edge:
                 at[v].append(idx)
         return {v: tuple(ids) for v, ids in at.items()}
-
-    def is_k_uniform(self, k: int) -> bool:
-        return all(len(e) == k for e in self.edges)
-
-    def is_d_regular(self, d: int) -> bool:
-        return all(deg == d for deg in self.degree.values())
 
     def is_true_hypergraph(self) -> bool:
         """Every edge has at least three vertices."""

@@ -275,27 +275,23 @@ def validate_cut_model(space: ProductSpace, model: CutModel, *,
 @dataclass(frozen=True)
 class RiskTable:
     """Conditional edge probabilities Pr(e in F | z in A), keyed by
-    (edge id, vertex id) with z restricted to vertices reachable from the
-    head of e."""
+    (edge id, vertex id) with z reachable from the head of e.
+
+    The table stores only the pairs its source gives.  An unlisted
+    reachable pair reads as 1.0, the trivially sound value."""
 
     entries: dict[tuple[str, str], float]
 
     def validate(self, graph: MultiDigraph) -> None:
+        """Each stored pair names a known edge and a vertex reachable from
+        its head, with a value in [0, 1] up to 1e-12 of slack."""
         reach = head_reach(graph)
-        want = {(e.id, z) for e in graph.edges for z in reach[e.head]}
-        have = set(self.entries)
-        if have != want:
-            missing = sorted(want - have)[:3]
-            extra = sorted(have - want)[:3]
-            raise ValueError(f"risk table domain mismatch; "
-                             f"missing={missing} extra={extra}")
         for key, p in self.entries.items():
-            _check_risk(key, p)
-
-
-def _check_risk(key: tuple[str, str], p: float) -> None:
-    if not (-1e-12 <= p <= 1.0 + 1e-12):
-        raise ValueError(f"risk {p} at {key} outside [0,1]")
+            edge = graph.edge_by_id.get(key[0])
+            if edge is None or key[1] not in reach[edge.head]:
+                raise SpaceError(f"risk entry {key} is not a reachable pair")
+            if not (-1e-12 <= p <= 1.0 + 1e-12):
+                raise SpaceError(f"risk {p} at {key} outside [0,1]")
 
 
 def risk_table_exact(space: ProductSpace, model: CutModel, *,
@@ -366,23 +362,18 @@ def space_from_json(obj: dict) -> ProductSpace:
 
 
 def risk_table_from_json(obj: dict, graph: MultiDigraph) -> RiskTable:
-    """Parse {"risks": [{"edge","z","p"}, ...]}; unlisted reachable pairs
-    default to 1.0 (a trivially sound upper bound).  Each listed row is
-    range-checked here; the domain is right by construction."""
-    reach = head_reach(graph)
-    entries = {(e.id, z): 1.0 for e in graph.edges for z in reach[e.head]}
+    """Parse {"risks": [{"edge","z","p"}, ...]} into a validated table of
+    the listed rows."""
     try:
         rows = obj["risks"]
     except (KeyError, TypeError) as exc:
         raise SpaceError(f"bad risk object: {exc}") from exc
+    entries = {}
     for r in rows:
         try:
-            key = (r["edge"], r["z"])
-            p = float(r["p"])
+            entries[(r["edge"], r["z"])] = float(r["p"])
         except (KeyError, TypeError) as exc:
             raise SpaceError(f"bad risk row {r!r}: {exc}") from exc
-        if key not in entries:
-            raise SpaceError(f"risk row {key} is not a reachable pair")
-        _check_risk(key, p)
-        entries[key] = p
-    return RiskTable(entries)
+    table = RiskTable(entries)
+    table.validate(graph)
+    return table

@@ -381,14 +381,6 @@ def critical_min_slack(k: int) -> CriticalSlack:
 
 
 @dataclass(frozen=True)
-class CriticalInstance:
-    k: int
-    c: float
-    z: float
-    tau: float
-
-
-@dataclass(frozen=True)
 class CriticalConditionReport:
     ratio_ok: bool                # 4 tau / k >= 1 / (z - 1)
     weight_ok: bool               # tau >= 1 + 4 z tau^2 (k - c) / k^2

@@ -345,6 +345,13 @@ def test_sample_rejects_jobs_below_one(flag, env, monkeypatch, capsys):
     assert code == 2 and out == "" and "--jobs" in err
 
 
+@pytest.mark.parametrize("edges", ["0", "-4"])
+def test_sample_rejects_edges_below_one(edges, capsys):
+    code, out, err = run(["sample", "acyclic", "--n", "10", "--delta", "3",
+                          "--edges", edges], capsys)
+    assert code == 2 and out == "" and "--edges" in err
+
+
 def test_internal_fault_exits_4(monkeypatch, capsys):
     from localcut import samplers
     monkeypatch.setattr(samplers, "verify_proper_2coloring",
@@ -371,6 +378,17 @@ def test_validate_model_builders(capsys):
     assert code == 0 and report["ok"] and report["ground_size"] == 6
 
 
+@pytest.mark.parametrize("mode", ["exact", "bound"])
+def test_validate_model_counts_every_reachable_pair(mode, capsys):
+    n = 6
+    code, out, _ = run(["validate-model", "nonrep", "--n", str(n),
+                        "--uniform", "3", "--risk-mode", mode], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["ok"]
+    assert report["risk_entries"] == sum(i * ((i + 1) // 2)
+                                         for i in range(1, n))
+
+
 # ------------------------------------------------------------------- peel
 
 def test_peel_cli_both_verdicts(tmp_path, capsys):
@@ -391,6 +409,14 @@ def test_peel_cli_both_verdicts(tmp_path, capsys):
     code, out, _ = run(["peel", sparse, "--k", "4", "--c", "2",
                         "--z", "2"], capsys)
     assert code == 1 and json.loads(out)["status"] == "stopped"
+
+
+def test_peel_rejects_settings_it_does_not_read(tmp_path, capsys):
+    path = write(tmp_path, "one.json",
+                 {"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]})
+    code, out, err = run(["peel", path, "--k", "4", "--c", "2", "--z", "2",
+                          "--tol", "1"], capsys)
+    assert code == 2 and out == "" and "--tol" in err
 
 
 # ------------------------------------------------------- output plumbing

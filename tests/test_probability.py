@@ -163,7 +163,7 @@ def test_vertex_probabilities_match_exact_prob():
 def test_risk_table_validation():
     g = path_graph()
     table = risk_table_from_json({"risks": []}, g)
-    assert table.entries == {("e1", "v"): 1.0}
+    assert table.entries == {}
     table = risk_table_from_json({"risks": [{"edge": "e1", "z": "v", "p": 0.25}]}, g)
     assert table.entries[("e1", "v")] == 0.25
     with pytest.raises(SpaceError):
@@ -184,6 +184,25 @@ def test_risk_table_validation():
             {"risks": [{"edge": "e1", "z": "v", "p": p}]}, g)
         table.validate(g)
         assert table.entries == {("e1", "v"): p}
+
+
+def test_risk_table_from_json_stores_only_listed_rows():
+    g = MultiDigraph.build(["x", "y", "z", "w"],
+                           [("a", "x", "y"), ("b", "y", "z"),
+                            ("c", "z", "w")])
+    rows = [{"edge": "a", "z": "w", "p": 0.5},
+            {"edge": "b", "z": "z", "p": 1.0},
+            {"edge": "c", "z": "w", "p": 0.0}]
+    for k in range(len(rows) + 1):
+        table = risk_table_from_json({"risks": rows[:k]}, g)
+        assert table.entries == {(r["edge"], r["z"]): r["p"]
+                                 for r in rows[:k]}
+        assert len(table.entries) == k
+    # unknown edges and vertices outside reach(head) are still rejected
+    for edge, z in (("q", "w"), ("b", "y"), ("c", "x")):
+        with pytest.raises(SpaceError):
+            risk_table_from_json(
+                {"risks": [{"edge": edge, "z": z, "p": 0.5}]}, g)
 
 
 def test_space_json_round_trip():
