@@ -29,22 +29,13 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Mapping, Sequence
 
-from . import engine, families, lll, thresholds
-from .choice import (RESAMPLE_CAP, ChoiceError, check_expectation_condition,
-                     choice_from_json, marginals_from_json,
-                     randomized_choice_search)
-from .digraph import DigraphError, digraph_from_json
+# The core every subcommand but `sample` runs; each handler imports the
+# rest of what it uses, so a call loads only its own modules.
+from . import engine
+from .digraph import digraph_from_json
 from .engine import ITER_CAP, TOL, IndeterminateError
-from .instances import (InstanceError, graph_from_json, hypergraph_from_json,
-                        lists_from_json, random_graph_max_degree,
-                        random_regular_uniform_hypergraph,
-                        ListAssignment)
-from .lll import LllError
 from .probability import (ENUM_CAP, EnumerationCapError, SpaceError,
                           risk_table_from_json, validate_cut_model)
-from .samplers import (BudgetExceededError, SamplerError,
-                       greedy_acyclic_edge_coloring,
-                       moser_tardos_two_coloring, nonrep_sequence_build)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -167,7 +158,7 @@ def _run_check_lcl(args):
     if not isinstance(data, Mapping) or "digraph" not in data:
         raise SpaceError('instance needs a "digraph" entry')
     graph = digraph_from_json(data["digraph"])
-    risks = risk_table_from_json({"risks": data.get("risks", [])}, graph)
+    risks = risk_table_from_json({"risks": data.get("risks", [])})
     inst = engine.CutInstance.build(graph, risks)
     tol = _setting(args, "tol", "TOL", float, TOL)
     cap = _setting(args, "cap", "CAP", int, ITER_CAP)
@@ -233,6 +224,8 @@ def _family_terms(data) -> tuple[tuple[str, ...], dict]:
 
 
 def _run_check_family(args):
+    from . import families
+
     data = _load_json(args.instance)
     ground, terms = _family_terms(data)
     tol = _setting(args, "tol", "TOL", float, TOL)
@@ -274,6 +267,8 @@ def _run_check_family(args):
 
 
 def _run_check_lll(args):
+    from . import lll
+
     inst = lll.instance_from_json(_load_json(args.instance))
     tol = _setting(args, "tol", "TOL", float, TOL)
     if args.auto_mu:
@@ -301,12 +296,14 @@ def _run_check_lll(args):
     return (EXIT_OK if rep.feasible else EXIT_NEGATIVE), report, rows
 
 
-def _feasibility_payload(result: thresholds.FeasibilityResult) -> dict:
+def _feasibility_payload(result) -> dict:
     return {"feasible": result.feasible, "tau_star": result.tau_star,
             "margin": result.margin, "iterations": result.iterations}
 
 
 def _run_threshold(args):
+    from . import thresholds
+
     app = args.application
     tol = _setting(args, "tol", "TOL", float, TOL)
     report: dict = {"subcommand": "threshold", "application": app}
@@ -387,6 +384,10 @@ def _run_threshold(args):
 
 
 def _run_choice(args):
+    from .choice import (RESAMPLE_CAP, ChoiceError,
+                         check_expectation_condition, choice_from_json,
+                         marginals_from_json, randomized_choice_search)
+
     data = _load_json(args.instance)
     inst = choice_from_json(data)
     if "p" not in data:
@@ -412,26 +413,24 @@ def _run_choice(args):
     return EXIT_OK, report, rows
 
 
-def _draw(kind: str, payload: tuple, cap: int, seed: int):
-    """One seeded run of a sampler: its object (None on failure) and its
-    report."""
-    if kind == "2col":
-        (hypergraph,) = payload
-        return moser_tardos_two_coloring(hypergraph, seed, cap)
-    if kind == "nonrep-seq":
-        (lists,) = payload
-        return nonrep_sequence_build(lists, seed, cap)
-    graph, palette = payload
-    return greedy_acyclic_edge_coloring(graph, palette, seed, cap)
-
-
-def _sample_once(kind: str, payload: tuple, cap: int, seed: int) -> dict:
-    _, rep = _draw(kind, payload, cap, seed)
+def _sample_once(draw, payload: tuple, cap: int, seed: int) -> dict:
+    _, rep = draw(*payload, seed, cap)
     return {"seed": seed, "success": rep.success, "resamples": rep.steps}
 
 
 def _run_sample(args):
+    # samplers (and numpy) load before the pool forks, so its workers
+    # inherit them instead of importing them again
+    from . import samplers
+    from .instances import (ListAssignment, graph_from_json,
+                            hypergraph_from_json, lists_from_json,
+                            random_graph_max_degree,
+                            random_regular_uniform_hypergraph)
+
     kind = args.kind
+    draw = {"2col": samplers.moser_tardos_two_coloring,
+            "nonrep-seq": samplers.nonrep_sequence_build,
+            "acyclic": samplers.greedy_acyclic_edge_coloring}[kind]
     seed = _setting(args, "seed", "SEED", int, 0)
     cap = _setting(args, "cap", "CAP", int, 10 ** 5)
     jobs = _setting(args, "jobs", "JOBS", int, 1)
@@ -477,7 +476,7 @@ def _run_sample(args):
     result = None
     note = ""
     if runs == 1:
-        found, rep = _draw(kind, payload, cap, seed)
+        found, rep = draw(*payload, seed, cap)
         if found and kind == "2col":
             result = dict(sorted(found.items()))
         elif found and kind == "nonrep-seq":
@@ -488,11 +487,11 @@ def _run_sample(args):
         rows = [{"seed": seed, "success": rep.success,
                  "resamples": rep.steps}]
     elif jobs > 1:
-        worker = partial(_sample_once, kind, payload, cap)
+        worker = partial(_sample_once, draw, payload, cap)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(worker, seeds))
     else:
-        rows = [_sample_once(kind, payload, cap, s) for s in seeds]
+        rows = [_sample_once(draw, payload, cap, s) for s in seeds]
     successes = sum(1 for row in rows if row["success"])
     report = {"subcommand": "sample", "kind": kind, "runs": runs,
               "successes": successes, "cap": cap,
@@ -505,6 +504,10 @@ def _run_sample(args):
 
 
 def _run_validate_model(args):
+    from .instances import (ListAssignment, hypergraph_from_json,
+                            lists_from_json,
+                            random_regular_uniform_hypergraph)
+
     cap = _setting(args, "cap", "CAP", int, ENUM_CAP)
     if args.builder == "nonrep":
         if args.instance:
@@ -535,6 +538,8 @@ def _run_validate_model(args):
         seed = _setting(args, "seed", "SEED", int, 0)
         hypergraph = random_regular_uniform_hypergraph(
             args.n, args.k, args.d, seed)
+    from . import families
+
     fam, _ = families.hypergraph_coloring_family(hypergraph,
                                                  args.colors or 2)
     checked = families.validate_family_instance(fam, cap=cap)
@@ -547,6 +552,9 @@ def _run_validate_model(args):
 
 
 def _run_peel(args):
+    from . import thresholds
+    from .instances import hypergraph_from_json
+
     hypergraph = hypergraph_from_json(_load_json(args.instance))
     result = thresholds.greedy_peel(hypergraph, args.k, args.c, args.z)
     floor_total = (args.k - args.c) * result.vertex_count
@@ -671,13 +679,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exit_.code if isinstance(exit_.code, int) else EXIT_USAGE
     try:
         code, report, rows = args.handler(args)
-    except (IndeterminateError, EnumerationCapError,
-            BudgetExceededError) as exc:
+    except (IndeterminateError, EnumerationCapError) as exc:
         print(f"indeterminate: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
-    except (DigraphError, SpaceError, InstanceError, LllError, ChoiceError,
-            SamplerError, ValueError, KeyError, TypeError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
+        # every localcut usage error, and json.JSONDecodeError, is a
+        # ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -95,8 +95,9 @@ class CutInstance:
     def build(graph: MultiDigraph, risks: RiskTable,
               space: ProductSpace | None = None,
               model: CutModel | None = None) -> "CutInstance":
-        risks.validate(graph)
-        return CutInstance(graph, risks, space, model)
+        inst = CutInstance(graph, risks, space, model)
+        risks.validate(graph, inst.reach)
+        return inst
 
     @cached_property
     def simple(self) -> SimpleDigraph:

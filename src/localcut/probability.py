@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping
 
-import numpy as np
-
 from .digraph import MultiDigraph, head_reach, underlying_simple
 
 SamplePoint = dict
@@ -109,6 +107,8 @@ class ProductSpace:
 
     def sample_batch(self, trials: int, seed: int) -> list[SamplePoint]:
         """Deterministic batch of independent samples for the given seed."""
+        import numpy as np          # only Monte Carlo estimation draws
+
         rng = np.random.default_rng(seed)
         columns = []
         for var in self.variables:
@@ -282,10 +282,13 @@ class RiskTable:
 
     entries: dict[tuple[str, str], float]
 
-    def validate(self, graph: MultiDigraph) -> None:
+    def validate(self, graph: MultiDigraph,
+                 reach: Mapping[str, frozenset[str]] | None = None) -> None:
         """Each stored pair names a known edge and a vertex reachable from
-        its head, with a value in [0, 1] up to 1e-12 of slack."""
-        reach = head_reach(graph)
+        its head, with a value in [0, 1] up to 1e-12 of slack.  `reach`,
+        if given, maps every edge head to the vertices it reaches."""
+        if reach is None:
+            reach = head_reach(graph)
         for key, p in self.entries.items():
             edge = graph.edge_by_id.get(key[0])
             if edge is None or key[1] not in reach[edge.head]:
@@ -332,7 +335,7 @@ def risk_table_exact(space: ProductSpace, model: CutModel, *,
         base = vertex_mass[key[1]].total
         entries[key] = min(acc.total / base, 1.0) if base > 0.0 else 0.0
     table = RiskTable(entries)
-    table.validate(graph)
+    table.validate(graph, reach)
     return table, checked
 
 
@@ -361,9 +364,10 @@ def space_from_json(obj: dict) -> ProductSpace:
     return ProductSpace.build(triples)
 
 
-def risk_table_from_json(obj: dict, graph: MultiDigraph) -> RiskTable:
-    """Parse {"risks": [{"edge","z","p"}, ...]} into a validated table of
-    the listed rows."""
+def risk_table_from_json(obj: dict,
+                         graph: MultiDigraph | None = None) -> RiskTable:
+    """Parse {"risks": [{"edge","z","p"}, ...]} into a table of the listed
+    rows, validated when a graph is given (CutInstance.build validates)."""
     try:
         rows = obj["risks"]
     except (KeyError, TypeError) as exc:
@@ -375,5 +379,6 @@ def risk_table_from_json(obj: dict, graph: MultiDigraph) -> RiskTable:
         except (KeyError, TypeError) as exc:
             raise SpaceError(f"bad risk row {r!r}: {exc}") from exc
     table = RiskTable(entries)
-    table.validate(graph)
+    if graph is not None:
+        table.validate(graph)
     return table

@@ -1,5 +1,6 @@
 """End-to-end command line tests, run in process through main()."""
 
+import importlib
 import json
 import math
 import os
@@ -425,6 +426,141 @@ def test_cli_import_leaves_scipy_unloaded():
     probe = ("import sys, localcut.cli; "
              "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     assert python_process(["-c", probe]).stdout.strip() == b"False"
+    # the package itself resolves its names on first use
+    probe = ("import sys, localcut; "
+             "print([m for m in sys.modules if m.startswith('localcut.')])")
+    assert python_process(["-c", probe]).stdout.strip() == b"[]"
+
+
+# one fresh process per call: run main, then print its exit code and the
+# heavy packages loaded, as the last line of stdout
+STARTUP_PROBE = """
+import json, sys
+from localcut.cli import main
+code = main(sys.argv[1:])
+heavy = sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+print(json.dumps([code, heavy]))
+"""
+
+STARTUP_INPUTS = {
+    "lcl.json": SINGLE_ARC,
+    "family.json": {"ground": ["a", "b"],
+                    "events": [{"element": "a", "p": 0.125,
+                                "witness": ["a"]}]},
+    "lll.json": {"n": 2, "gamma": [[2], [1]], "p": [0.125, 0.125],
+                 "mu": [0.25, 0.25]},
+    "triangle.json": {"vertices": ["a", "b", "c"],
+                      "edges": [["a", "b", "c"]]},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["threshold", "sequence", "--L", "4"],
+    ["threshold", "hypcol", "--k", "10", "--d", "19"],
+    ["check-lcl", "lcl.json"],
+    ["check-family", "family.json"],
+    ["check-lll", "lll.json"],
+    ["check-lll", "lll.json", "--auto-mu"],
+    ["peel", "triangle.json", "--k", "4", "--c", "2", "--z", "2"],
+    ["validate-model", "nonrep", "--n", "4", "--uniform", "2"],
+    ["validate-model", "hypcol2", "--n", "6", "--k", "3", "--d", "1"],
+], ids=lambda argv: "_".join(a.lstrip("-") for a in argv
+                          if not a.endswith(".json")))
+def test_only_drawing_subcommands_load_numpy(argv, tmp_path):
+    for name, payload in STARTUP_INPUTS.items():
+        write(tmp_path, name, payload)
+    argv = [str(tmp_path / a) if a in STARTUP_INPUTS else a for a in argv]
+    out = python_process(["-c", STARTUP_PROBE, *argv]).stdout
+    code, heavy = json.loads(out.splitlines()[-1])
+    assert code in (0, 1) and heavy == []
+
+
+def test_sample_pool_runs_from_a_fresh_process():
+    out = python_process(["-m", "localcut.cli", "sample", "2col", "--n",
+                          "16", "--k", "8", "--d", "2", "--runs", "2",
+                          "--jobs", "2"]).stdout
+    report = json.loads(out)
+    assert report["successes"] == 2
+    assert [row["seed"] for row in report["rows"]] == [0, 1]
+
+
+# today's public names; each must be the object its defining module holds
+PUBLIC_NAMES = set("""
+    BudgetExceededError ChoiceError ChoiceInstance CutInstance CutModel
+    DigraphError Edge EnumerationCapError FamilyInstance FeasibilityResult
+    FixedPointResult Graph Hypergraph IndeterminateError InstanceError
+    ListAssignment LllError LllInstance MarginalWeights McEstimate
+    MultiDigraph NotOutClosedError PaletteTooSmallError ProductSpace
+    RiskTable SamplerError SamplerReport SeriesCondition SimpleDigraph
+    SpaceError WeightReport acyclic_feasible apply_risk_operator auto_mu
+    boundary build_nonrep_instance check_expectation_condition
+    check_family_condition check_lopsided check_weight_condition cond_prob
+    critical_condition_check critical_min_slack critical_vertex_condition
+    defect digraph_from_json digraph_to_json estimate_cond_prob exact_prob
+    extract_choice family_of graph_from_json greedy_acyclic_edge_coloring
+    greedy_peel hypercube_digraph hypergraph_coloring_family
+    hypergraph_from_json hypergraph_two_coloring_max_degree
+    instance_from_json is_a_cut is_acyclic_edge_coloring is_nonrepetitive
+    is_nonrepetitive_coloring is_out_closed least_tau_solution
+    least_weight_solution lists_from_json min_product_weight
+    min_product_weights moser_tardos_two_coloring mu_to_tau
+    multichoice_certificate nonrep_sequence_build
+    nonrepetitive_chromatic_bound nonrepetitive_sequence_feasible
+    probability_bounds random_graph_max_degree
+    random_regular_uniform_hypergraph randomized_choice_search reachable
+    risk_of_edge risk_table_exact risk_table_from_json scalar_feasible
+    space_from_json telescoping_check underlying_simple validate_cut_model
+    validate_family_instance verify_proper_2coloring vertex_probabilities
+    witness_bound""".split())
+
+
+def test_package_names_resolve_to_their_modules():
+    assert len(PUBLIC_NAMES) == 92
+    assert set(localcut.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        value = getattr(localcut, name)
+        assert value.__module__.startswith("localcut.")
+        assert value is getattr(sys.modules[value.__module__], name)
+    star: dict = {}
+    exec("from localcut import *", star)
+    assert set(star) - {"__builtins__"} == PUBLIC_NAMES
+    assert PUBLIC_NAMES <= set(dir(localcut))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        localcut.no_such_name
+    assert localcut.__version__ == "0.1.0"
+
+
+HANDLER_ERRORS = [
+    ("localcut.digraph", "DigraphError", (), 2),
+    ("localcut.digraph", "NotOutClosedError", (), 2),
+    ("localcut.probability", "SpaceError", (), 2),
+    ("localcut.instances", "InstanceError", (), 2),
+    ("localcut.lll", "LllError", (), 2),
+    ("localcut.choice", "ChoiceError", (), 2),
+    ("localcut.samplers", "SamplerError", (), 2),
+    ("localcut.samplers", "PaletteTooSmallError", (), 2),
+    ("json", "JSONDecodeError", ("{", 1), 2),
+    ("localcut.engine", "IndeterminateError", (3,), 3),
+    ("localcut.probability", "EnumerationCapError", (), 3),
+    ("builtins", "RuntimeError", (), 4),
+]
+
+
+@pytest.mark.parametrize("module, name, extra, expected", HANDLER_ERRORS,
+                         ids=[case[1] for case in HANDLER_ERRORS])
+def test_handler_errors_map_to_exit_codes(module, name, extra, expected,
+                                          monkeypatch, capsys):
+    from localcut import cli
+    error = getattr(importlib.import_module(module), name)
+
+    def handler(args):
+        raise error("boom", *extra)
+
+    monkeypatch.setattr(cli, "_run_threshold", handler)
+    code, out, err = run(["threshold", "sequence", "--L", "4"], capsys)
+    prefix = {2: "error:", 3: "indeterminate:", 4: "internal error:"}
+    assert code == expected and out == ""
+    assert err.startswith(prefix[expected]) and "boom" in err
 
 
 def test_output_is_byte_stable(capsys):

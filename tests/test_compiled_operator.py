@@ -185,6 +185,42 @@ def test_solve_searches_reachability_once_per_vertex(monkeypatch):
     assert len(calls) <= len(inst.graph.vertices)
 
 
+def test_check_lcl_searches_each_vertex_once_and_validates_once(
+        monkeypatch, tmp_path, capsys):
+    import json
+
+    from localcut import digraph
+    from localcut.cli import main
+    from localcut.digraph import digraph_to_json
+    from localcut.probability import RiskTable
+    inst = build_nonrep_instance([[0, 1, 2, 3]] * 20, risk_mode="bound")
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "digraph": digraph_to_json(inst.graph),
+        "risks": [{"edge": e, "z": z, "p": p}
+                  for (e, z), p in inst.risks.entries.items()]}))
+    searches = []
+    validations = []
+
+    def counted(simple, start):
+        searches.append(start)
+        return reachable(simple, start)
+
+    validate = RiskTable.validate
+
+    def counted_validate(table, *args):
+        validations.append(table)
+        return validate(table, *args)
+
+    monkeypatch.setattr(engine, "reachable", counted)
+    monkeypatch.setattr(digraph, "reachable", counted)
+    monkeypatch.setattr(RiskTable, "validate", counted_validate)
+    assert main(["check-lcl", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["feasible"]
+    assert 0 < len(searches) <= len(inst.graph.vertices)
+    assert len(validations) == 1
+
+
 def test_bound_mode_searches_reachability_once_per_head(monkeypatch):
     from localcut import digraph
     calls = []
