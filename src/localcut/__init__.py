@@ -25,7 +25,8 @@ _EXPORTS = {
         apply_risk_operator build_nonrep_instance check_weight_condition
         least_weight_solution probability_bounds risk_of_edge
         telescoping_check""",
-    "families": """FamilyInstance boundary check_family_condition family_of
+    "families": """FamilyInstance apply_tau_operator boundary
+        check_family_condition check_tau_condition family_of
         hypercube_digraph hypergraph_coloring_family least_tau_solution
         validate_family_instance witness_bound""",
     "lll": """LllError LllInstance auto_mu check_lopsided instance_from_json

@@ -7,7 +7,8 @@ kinds of outcome so parameter scans can branch on them:
     0  feasible / success (verifier-backed)
     1  infeasible, diverged, or object not found: a valid negative verdict
     2  usage, IO, or schema error
-    3  indeterminate: an iteration/enumeration cap was hit
+    3  indeterminate: an iteration/enumeration cap was hit, or a
+       converged solve's weights fail the check
     4  internal fault: a bug, e.g. a verifier rejected a finished object
 
 Reports are byte-stable for identical inputs: JSON with sorted keys and
@@ -134,20 +135,20 @@ def _arc_name(arc: tuple[str, str]) -> str:
     return f"{arc[0]}->{arc[1]}"
 
 
-def _parse_weights(obj, graph) -> dict[tuple[str, str], float]:
-    table = obj.get("weights") if isinstance(obj, Mapping) else None
+def _parse_weights(table, known: Mapping[str, object], what: str,
+                   noun: str) -> dict:
+    """A {name: number} map that names every known name and no other,
+    keyed by known[name]; `what` and `noun` word the errors."""
     if not isinstance(table, Mapping):
-        raise SpaceError('weights file needs {"weights": {"tail->head": w}}')
-    known = {_arc_name(arc): arc
-             for arc in {(e.tail, e.head) for e in graph.edges}}
+        raise SpaceError(f"need an object with one {what} per {noun}")
     weights = {}
     for name, value in table.items():
         if name not in known:
-            raise SpaceError(f"weight for unknown arc {name!r}")
+            raise SpaceError(f"{what} for unknown {noun} {name!r}")
         weights[known[name]] = float(value)
-    missing = sorted(set(known) - set(map(_arc_name, weights)))
+    missing = sorted(set(known) - set(table))
     if missing:
-        raise SpaceError(f"no weight for arc {missing[0]!r}")
+        raise SpaceError(f"no {what} for {noun} {missing[0]!r}")
     return weights
 
 
@@ -163,13 +164,12 @@ def _run_check_lcl(args):
     tol = _setting(args, "tol", "TOL", float, TOL)
     cap = _setting(args, "cap", "CAP", int, ITER_CAP)
     if args.weights:
-        weights = _parse_weights(_load_json(args.weights), graph)
-        rep = engine.check_weight_condition(inst, weights, tol)
-        code = EXIT_OK if rep.feasible else EXIT_NEGATIVE
-        weights_out = rep.weights
-        margins = rep.margins
-        iterations = rep.iterations
-        mode = "check"
+        obj = _load_json(args.weights)
+        weights = _parse_weights(
+            obj.get("weights") if isinstance(obj, Mapping) else None,
+            {_arc_name(arc): arc for arc in graph.edges_by_arc},
+            "weight", "arc")
+        mode, iterations, failed = "check", 0, EXIT_NEGATIVE
     else:
         res = engine.least_weight_solution(inst, tol, cap)
         if res.status == "diverged":
@@ -178,19 +178,17 @@ def _run_check_lcl(args):
                       "iterations": res.iterations,
                       "max_entry": res.max_entry}
             return EXIT_NEGATIVE, report, []
-        code = EXIT_OK
-        weights_out = res.weights
-        margins = res.report.margins
-        iterations = res.iterations
-        mode = "solve"
+        weights, mode, iterations = res.weights, "solve", res.iterations
+        failed = EXIT_INDETERMINATE
+    rep = engine.check_weight_condition(inst, weights, tol)
     report = {"subcommand": "check-lcl", "mode": mode,
-              "feasible": code == EXIT_OK, "iterations": iterations,
-              "weights": {_arc_name(a): w for a, w in weights_out.items()},
-              "margins": {_arc_name(a): m for a, m in margins.items()}}
-    rows = [{"arc": _arc_name(arc), "weight": weights_out[arc],
-             "margin": margins[arc], "feasible": margins[arc] >= -tol}
-            for arc in sorted(weights_out)]
-    return code, report, rows
+              "feasible": rep.feasible, "iterations": iterations,
+              "weights": {_arc_name(a): w for a, w in rep.weights.items()},
+              "margins": {_arc_name(a): m for a, m in rep.margins.items()}}
+    rows = [{"arc": _arc_name(arc), "weight": rep.weights[arc],
+             "margin": rep.margins[arc], "feasible": rep.margins[arc] >= -tol}
+            for arc in sorted(rep.weights)]
+    return (EXIT_OK if rep.feasible else failed), report, rows
 
 
 def _family_terms(data) -> tuple[tuple[str, ...], dict]:
@@ -200,10 +198,8 @@ def _family_terms(data) -> tuple[tuple[str, ...], dict]:
     members = frozenset(ground)
     if len(members) != len(ground) or not ground:
         raise SpaceError("ground set must be nonempty without duplicates")
-    events = data.get("events", [])
-    terms: dict[str, list[tuple[float, tuple[str, ...]]]] = \
-        {i: [] for i in ground}
-    for idx, entry in enumerate(events):
+    terms: dict[str, list] = {i: [] for i in ground}
+    for idx, entry in enumerate(data.get("events", [])):
         try:
             element = str(entry["element"])
             p = float(entry["p"])
@@ -231,14 +227,9 @@ def _run_check_family(args):
     tol = _setting(args, "tol", "TOL", float, TOL)
     cap = _setting(args, "cap", "CAP", int, ITER_CAP)
     if "tau" in data:
-        tau = {str(k): float(v) for k, v in data["tau"].items()}
-        missing = sorted(set(ground) - set(tau))
-        if missing:
-            raise SpaceError(f"no tau for element {missing[0]!r}")
-        if any(t < 1.0 for t in tau.values()):
-            raise SpaceError("tau values must be >= 1")
-        mode = "check"
-        iterations = 0
+        tau = _parse_weights(data["tau"], {i: i for i in ground}, "tau",
+                             "element")
+        mode, iterations, failed = "check", 0, EXIT_NEGATIVE
     else:
         res = families.least_tau_solution(ground, terms, tol, cap)
         if res.status == "diverged":
@@ -246,24 +237,16 @@ def _run_check_family(args):
                       "feasible": False, "status": "diverged",
                       "iterations": res.iterations}
             return EXIT_NEGATIVE, report, []
-        tau = res.tau
-        mode = "solve"
-        iterations = res.iterations
-    margins = {}
-    for i in ground:
-        load = math.fsum(p * math.prod(tau[w] for w in witness)
-                         for p, witness in terms[i])
-        margins[i] = tau[i] - 1.0 - load
-    feasible = mode == "solve" or all(m >= -tol for m in margins.values())
-    code = EXIT_OK if feasible else EXIT_NEGATIVE
-    bound = 1.0 / math.prod(tau[i] for i in ground) if feasible else 0.0
+        tau, mode, iterations = res.tau, "solve", res.iterations
+        failed = EXIT_INDETERMINATE
+    rep = families.check_tau_condition(ground, terms, tau, tol)
+    bound = 1.0 / families.tau_of_set(tau, ground) if rep.feasible else 0.0
     report = {"subcommand": "check-family", "mode": mode,
-              "feasible": feasible, "iterations": iterations,
-              "tau": dict(tau), "margins": dict(margins),
-              "bound": bound}
-    rows = [{"element": i, "tau": tau[i], "margin": margins[i],
+              "feasible": rep.feasible, "iterations": iterations,
+              "tau": rep.weights, "margins": rep.margins, "bound": bound}
+    rows = [{"element": i, "tau": tau[i], "margin": rep.margins[i],
              "events": len(terms[i])} for i in ground]
-    return code, report, rows
+    return (EXIT_OK if rep.feasible else failed), report, rows
 
 
 def _run_check_lll(args):

@@ -9,6 +9,7 @@ search is exact.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -115,13 +116,14 @@ def head_reach(graph: MultiDigraph) -> dict[str, frozenset[str]]:
 
 
 def check_weights(simple: SimpleDigraph, weights: Mapping[Arc, float]) -> None:
-    """Weights must cover every arc and be >= 1."""
+    """Weights must cover every arc and be finite numbers >= 1."""
     for arc in simple.arcs:
         w = weights.get(arc)
         if w is None:
             raise DigraphError(f"no weight for arc {arc}")
-        if not w >= 1.0:
-            raise DigraphError(f"weight {w} on arc {arc} is below 1")
+        if not 1.0 <= w < math.inf:
+            problem = "below 1" if w < 1.0 else "not a finite number"
+            raise DigraphError(f"weight {w} on arc {arc} is {problem}")
 
 
 def min_product_weights(simple: SimpleDigraph, weights: Mapping[Arc, float],

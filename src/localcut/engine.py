@@ -117,9 +117,10 @@ class CutInstance:
         the floor: a pair read as 1 gives exactly 1 * P(z) = P(z), and a
         stored r <= 1 gives fl(r * P(z)) <= P(z), so the capped minimum is
         the dense one, bit for bit.  An edge with a stored entry above 1
-        scans every z reachable from its head uncapped.
+        scans every z reachable from its head uncapped.  Entries in the
+        table's negative slack read as 0.
         """
-        entries = self.risks.entries
+        entries = {key: max(r, 0.0) for key, r in self.risks.entries.items()}
         stored: dict[str, list[tuple[str, float]]] = {}
         for (eid, z), r in entries.items():
             stored.setdefault(eid, []).append((z, r))
@@ -135,10 +136,6 @@ class CutInstance:
                                       for z in self.reach[arc[1]]), False))
             rows[arc] = tuple(row)
         return rows
-
-
-def _is_zero_function(weights: Mapping[Arc, float]) -> bool:
-    return all(w == 0.0 for w in weights.values())
 
 
 def _tail_products(inst: CutInstance,
@@ -189,7 +186,7 @@ def apply_risk_operator(inst: CutInstance,
     below 1 would break the cheapest-first search).
     """
     simple = inst.simple
-    if _is_zero_function(weights):
+    if all(w == 0.0 for w in weights.values()):
         return {arc: 1.0 for arc in simple.arcs}
     products = _tail_products(inst, weights)
     out: dict[Arc, float] = {}
@@ -247,7 +244,7 @@ def least_weight_solution(inst: CutInstance, tol: float = TOL,
     if weights is None:
         return FixedPointResult(status, None, iterations, None, peak,
                                 min_step)
-    check = check_weight_condition(inst, weights, tol=max(tol, 1e-9))
+    check = check_weight_condition(inst, weights, tol)
     report = WeightReport(weights, check.margins, check.feasible, iterations)
     return FixedPointResult(status, weights, iterations, report, peak,
                             min_step)
@@ -346,16 +343,6 @@ def _blocks_equal(seq: Sequence, s: int, t: int) -> bool:
     return seq[s:s + t] == seq[s + t:s + 2 * t]
 
 
-def _nonrep_prefix_length(seq: Sequence) -> int:
-    """Length of the longest prefix without two equal adjacent blocks."""
-    for end in range(2, len(seq) + 1):
-        # a block copy ending exactly at `end` (everything shorter was clean)
-        for t in range(1, end // 2 + 1):
-            if _blocks_equal(seq, end - 2 * t, t):
-                return end - 1
-    return len(seq)
-
-
 def build_nonrep_instance(lists: Sequence[Sequence], *,
                           risk_mode: str = "exact",
                           cap: int = ENUM_CAP) -> CutInstance:
@@ -396,10 +383,15 @@ def build_nonrep_instance(lists: Sequence[Sequence], *,
 
     names = [f"a{i}" for i in range(1, n + 1)]
     prefixes = [frozenset(vertices[:good]) for good in range(n + 1)]
+    # ordered by copy end, then length: the first repeat ends the clean prefix
     blocks = [(eid, s - 1, t) for eid, (s, t) in block_of.items()]
 
     def a_of(point) -> frozenset[str]:
-        return prefixes[_nonrep_prefix_length([point[a] for a in names])]
+        seq = [point[a] for a in names]
+        for _, s, t in blocks:
+            if _blocks_equal(seq, s, t):
+                return prefixes[s + 2 * t - 1]
+        return prefixes[n]
 
     def f_of(point) -> frozenset[str]:
         seq = [point[a] for a in names]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .digraph import MultiDigraph
-from .engine import ITER_CAP, TOL, VALUE_CAP, kleene
+from .engine import ITER_CAP, TOL, VALUE_CAP, WeightReport, kleene
 from .instances import Hypergraph
 from .probability import (ENUM_CAP, CutModel, EnumerationCapError, Event,
                           ProductSpace, SamplePoint, _Kahan)
@@ -198,6 +198,37 @@ def tau_of_set(tau: Mapping[str, float], subset: Iterable[str]) -> float:
     return math.prod(tau[i] for i in subset)
 
 
+Terms = Mapping[str, Sequence[tuple[float, Iterable[str]]]]  # i -> (p, W)s
+
+
+def apply_tau_operator(ground: Sequence[str], terms: Terms,
+                       tau: Mapping[str, float]) -> dict[str, float]:
+    """One step of the element update: tau(i) -> 1 + sum of p * tau(W)
+    over i's terms, summed left to right."""
+    nxt = {}
+    for elem in ground:
+        total = 0.0
+        for p, witness in terms.get(elem, ()):
+            total += p * tau_of_set(tau, witness)
+        nxt[elem] = 1.0 + total
+    return nxt
+
+
+def check_tau_condition(ground: Sequence[str], terms: Terms,
+                        tau: Mapping[str, float],
+                        tol: float = TOL) -> WeightReport:
+    """Margins tau - F(tau) of the per-element condition; feasible iff
+    every margin >= -tol.  Every tau(i) must be a finite number >= 1."""
+    for elem in ground:
+        if not 1.0 <= tau[elem] < math.inf:
+            raise ValueError(f"tau[{elem!r}] = {tau[elem]} is not a finite "
+                             "number >= 1")
+    updated = apply_tau_operator(ground, terms, tau)
+    margins = {elem: tau[elem] - updated[elem] for elem in ground}
+    feasible = all(m >= -tol for m in margins.values())
+    return WeightReport(dict(tau), margins, feasible, 0)
+
+
 def witness_bound(inst: FamilyInstance, event: Event, witness: Subset,
                   tau: Mapping[str, float], *, p_bound: float | None = None,
                   cap: int = ENUM_CAP, outside_cap: int = 20) -> float:
@@ -208,9 +239,13 @@ def witness_bound(inst: FamilyInstance, event: Event, witness: Subset,
     0.  With p_bound given, enumeration is skipped and the bound is
     p_bound * tau(witness).
     """
-    weight = tau_of_set(tau, witness)
-    if p_bound is not None:
-        return p_bound * weight
+    if p_bound is None:
+        p_bound = _worst_conditional(inst, event, witness, cap, outside_cap)
+    return p_bound * tau_of_set(tau, witness)
+
+
+def _worst_conditional(inst: FamilyInstance, event: Event, witness: Subset,
+                       cap: int, outside_cap: int = 20) -> float:
     outside = [i for i in inst.ground if i not in witness]
     if len(outside) > outside_cap:
         raise ValueError(f"{len(outside)} outside elements exceed cap "
@@ -231,7 +266,7 @@ def witness_bound(inst: FamilyInstance, event: Event, witness: Subset,
     for idx in range(len(zs)):
         if base[idx].total > 0.0:
             worst = max(worst, joint[idx].total / base[idx].total)
-    return worst * weight
+    return worst
 
 
 WitnessMap = Mapping[tuple[str, str], Subset]   # (element, label) -> witness
@@ -265,24 +300,21 @@ def check_family_condition(inst: FamilyInstance, tau: Mapping[str, float],
                            p_bounds: Mapping[tuple[str, str], float] | None = None,
                            tol: float = TOL,
                            cap: int = ENUM_CAP) -> FamilyConditionReport:
-    """Per-element margins of the weight condition, and the implied bound."""
-    for elem in inst.ground:
-        if not tau[elem] >= 1.0:
-            raise ValueError(f"tau[{elem!r}] = {tau[elem]} is below 1")
+    """Per-element margins of the weight condition, and the implied bound.
+    An event's term is (p, witness), p its p_bounds entry or else the worst
+    conditional probability that witness_bound enumerates."""
     _check_witnesses(inst, witnesses)
+    terms: dict[str, list] = {elem: [] for elem in inst.ground}
     sigma: dict[tuple[str, str], float] = {}
-    margins: dict[str, float] = {}
     for elem in inst.ground:
-        total = 0.0
         for label, event in inst.events[elem]:
-            pb = None if p_bounds is None else p_bounds[(elem, label)]
-            value = witness_bound(inst, event, witnesses[(elem, label)], tau,
-                                  p_bound=pb, cap=cap)
-            sigma[(elem, label)] = value
-            total += value
-        margins[elem] = tau[elem] - 1.0 - total
-    feasible = all(m >= -tol for m in margins.values())
-    return FamilyConditionReport(feasible, margins, sigma,
+            witness = witnesses[(elem, label)]
+            p = (_worst_conditional(inst, event, witness, cap)
+                 if p_bounds is None else p_bounds[(elem, label)])
+            terms[elem].append((p, witness))
+            sigma[(elem, label)] = p * tau_of_set(tau, witness)
+    rep = check_tau_condition(inst.ground, terms, tau, tol)
+    return FamilyConditionReport(rep.feasible, rep.margins, sigma,
                                  1.0 / tau_of_set(tau, inst.ground))
 
 
@@ -357,9 +389,7 @@ class TauSolveResult:
     min_step: float
 
 
-def least_tau_solution(ground: Sequence[str],
-                       terms: Mapping[str,
-                                      Sequence[tuple[float, Iterable[str]]]],
+def least_tau_solution(ground: Sequence[str], terms: Terms,
                        tol: float = TOL, iter_cap: int = ITER_CAP,
                        value_cap: float = VALUE_CAP) -> TauSolveResult:
     """Least tau with tau(i) = 1 + sum of p * tau(witness) per element.
@@ -377,17 +407,9 @@ def least_tau_solution(ground: Sequence[str],
             if p < 0.0:
                 raise ValueError("negative probability bound")
 
-    def operator(tau: dict[str, float]) -> dict[str, float]:
-        nxt = {}
-        for elem in ground:
-            total = 0.0
-            for p, witness in terms.get(elem, ()):
-                total += p * tau_of_set(tau, witness)
-            nxt[elem] = 1.0 + total
-        return nxt
-
     status, tau, iterations, _, min_step = kleene(
-        operator, dict.fromkeys(ground, 0.0), tol, iter_cap, value_cap)
+        lambda tau: apply_tau_operator(ground, terms, tau),
+        dict.fromkeys(ground, 0.0), tol, iter_cap, value_cap)
     return TauSolveResult(status, tau, iterations, min_step)
 
 

@@ -96,7 +96,7 @@ def check_lopsided(inst: LllInstance, tol: float = TOL) -> LopsidedReport:
 @dataclass(frozen=True)
 class MuTauResult:
     tau: dict[int, float]
-    margins: dict[int, float]     # tau_i - 1 - p_i * tau(Gamma(i) + i)
+    margins: dict[int, float]     # tau_i - (1 + p_i * tau(Gamma(i) + i))
     product_identity_error: float # |bound * prod tau - 1|
 
 
@@ -107,15 +107,15 @@ def mu_to_tau(inst: LllInstance, tol: float = TOL) -> MuTauResult:
     Raises LllError when the instance fails the lopsided check: the
     translation is only claimed for feasible inputs.
     """
+    from .families import check_tau_condition
+
     report = check_lopsided(inst, tol)
     if not report.feasible:
         raise LllError("instance fails the lopsided condition")
-    tau = {i: 1.0 / (1.0 - inst.mu[i]) for i in range(1, inst.n + 1)}
-    margins = {}
-    for i in range(1, inst.n + 1):
-        closed = inst.gamma[i] | {i}
-        margins[i] = tau[i] - 1.0 - inst.probs[i] * math.prod(
-            tau[j] for j in closed)
+    events = range(1, inst.n + 1)
+    tau = {i: 1.0 / (1.0 - inst.mu[i]) for i in events}
+    terms = {i: [(inst.probs[i], inst.gamma[i] | {i})] for i in events}
+    margins = check_tau_condition(events, terms, tau, tol).margins
     identity = abs(report.bound * math.prod(tau.values()) - 1.0)
     return MuTauResult(tau, margins, identity)
 

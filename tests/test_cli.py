@@ -101,6 +101,60 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
     assert code == 2 and "unknown arc" in err
 
 
+FAMILY = {"ground": ["a", "b"],
+          "events": [{"element": "a", "p": 0.125, "witness": ["a"]}]}
+
+
+@pytest.mark.parametrize("subcommand, weights", [
+    ("check-family", [1, 2]),
+    ("check-family", {"a": 2, "b": 1, "z": 1}),
+    ("check-family", {"a": "nan", "b": 1}),
+    ("check-family", {"a": 2, "b": "inf"}),
+    ("check-lcl", {"x->y": "inf"}),
+], ids=["tau-list", "tau-unknown", "tau-nan", "tau-inf", "arc-inf"])
+def test_malformed_or_non_finite_weights_exit_2(subcommand, weights,
+                                                tmp_path, capsys):
+    if subcommand == "check-family":
+        argv = [write(tmp_path, "fam.json", {**FAMILY, "tau": weights})]
+    else:
+        argv = [write(tmp_path, "inst.json", SINGLE_ARC), "--weights",
+                write(tmp_path, "w.json", {"weights": weights})]
+    code, out, err = run([subcommand, *argv], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_unconverged_solve_weights_exit_3(tmp_path, capsys, monkeypatch):
+    # solvers that stop while one more application still moves the
+    # weights by more than --tol: the check, not the solver, decides
+    from localcut import families
+    solve_arcs, solve_tau = engine.least_weight_solution, \
+        families.least_tau_solution
+    monkeypatch.setattr(engine, "least_weight_solution",
+                        lambda inst, tol, cap: solve_arcs(inst, 1e-3, cap))
+    monkeypatch.setattr(families, "least_tau_solution",
+                        lambda ground, terms, tol, cap:
+                        solve_tau(ground, terms, 1e-3, cap))
+    for subcommand, payload in (("check-lcl", SINGLE_ARC),
+                                ("check-family", FAMILY)):
+        path = write(tmp_path, "inst.json", payload)
+        code, out, _ = run([subcommand, path], capsys)
+        report = json.loads(out)
+        assert code == 3 and report["mode"] == "solve"
+        assert not report["feasible"]
+        assert min(report["margins"].values()) < -1e-12
+
+
+def test_risks_in_the_negative_slack_read_as_zero(tmp_path, capsys):
+    def solve(p):
+        payload = {**SINGLE_ARC, "risks": [{"edge": "e", "z": "y", "p": p}]}
+        return run(["check-lcl", write(tmp_path, "inst.json", payload)],
+                   capsys)
+
+    code, out, _ = solve(-1e-12)
+    assert code == 0 and json.loads(out)["weights"]["x->y"] == 1.0
+    assert solve(0.0) == (code, out, "")
+
+
 def test_unknown_subcommand_and_bad_flags(capsys):
     assert run(["frobnicate"], capsys)[0] == 2
     assert run(["threshold", "hypcol"], capsys)[0] == 2      # missing --k
@@ -439,7 +493,8 @@ import json, sys
 from localcut.cli import main
 code = main(sys.argv[1:])
 heavy = sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
-print(json.dumps([code, heavy]))
+ours = sorted(m for m in sys.modules if m.split(".")[0] == "localcut")
+print(json.dumps([code, heavy, ours]))
 """
 
 STARTUP_INPUTS = {
@@ -471,8 +526,19 @@ def test_only_drawing_subcommands_load_numpy(argv, tmp_path):
         write(tmp_path, name, payload)
     argv = [str(tmp_path / a) if a in STARTUP_INPUTS else a for a in argv]
     out = python_process(["-c", STARTUP_PROBE, *argv]).stdout
-    code, heavy = json.loads(out.splitlines()[-1])
+    code, heavy, _ = json.loads(out.splitlines()[-1])
     assert code in (0, 1) and heavy == []
+
+
+def test_auto_mu_loads_only_the_lll_core(tmp_path):
+    # the weight translation's families import stays out of --auto-mu
+    path = write(tmp_path, "lll.json", STARTUP_INPUTS["lll.json"])
+    out = python_process(["-c", STARTUP_PROBE, "check-lll", path,
+                          "--auto-mu"]).stdout
+    code, _, ours = json.loads(out.splitlines()[-1])
+    assert code == 0 and ours == [
+        "localcut", "localcut.cli", "localcut.digraph", "localcut.engine",
+        "localcut.lll", "localcut.probability"]
 
 
 def test_sample_pool_runs_from_a_fresh_process():
@@ -492,9 +558,10 @@ PUBLIC_NAMES = set("""
     ListAssignment LllError LllInstance MarginalWeights McEstimate
     MultiDigraph NotOutClosedError PaletteTooSmallError ProductSpace
     RiskTable SamplerError SamplerReport SeriesCondition SimpleDigraph
-    SpaceError WeightReport acyclic_feasible apply_risk_operator auto_mu
-    boundary build_nonrep_instance check_expectation_condition
-    check_family_condition check_lopsided check_weight_condition cond_prob
+    SpaceError WeightReport acyclic_feasible apply_risk_operator
+    apply_tau_operator auto_mu boundary build_nonrep_instance
+    check_expectation_condition check_family_condition check_lopsided
+    check_tau_condition check_weight_condition cond_prob
     critical_condition_check critical_min_slack critical_vertex_condition
     defect digraph_from_json digraph_to_json estimate_cond_prob exact_prob
     extract_choice family_of graph_from_json greedy_acyclic_edge_coloring
@@ -515,7 +582,7 @@ PUBLIC_NAMES = set("""
 
 
 def test_package_names_resolve_to_their_modules():
-    assert len(PUBLIC_NAMES) == 92
+    assert len(PUBLIC_NAMES) == 94
     assert set(localcut.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         value = getattr(localcut, name)

@@ -19,8 +19,7 @@ import pytest
 import localcut
 from localcut.cli import main
 from localcut.digraph import MultiDigraph, head_reach, underlying_simple
-from localcut.engine import (_blocks_equal, _nonrep_prefix_length,
-                             build_nonrep_instance)
+from localcut.engine import _blocks_equal, build_nonrep_instance
 from localcut.families import (FamilyInstance, all_subsets, boundary,
                                family_of, hypergraph_coloring_family,
                                validate_family_instance)
@@ -201,11 +200,14 @@ def reference_blocks_equal(seq, s, t):
 
 
 def test_square_test_matches_elementwise_scan():
-    for n in range(8):
+    # a model needs one position; the empty sequence has no blocks
+    for n in range(1, 8):
+        inst = build_nonrep_instance([[0, 1, 2]] * n, risk_mode="bound")
         for seq in itertools.product(range(3), repeat=n):
-            assert _nonrep_prefix_length(seq) == reference_prefix_length(seq)
-            assert _nonrep_prefix_length(list(seq)) == \
-                reference_prefix_length(seq)
+            point = {f"a{i}": x for i, x in enumerate(seq, start=1)}
+            good = reference_prefix_length(seq)
+            assert inst.model.a_of(point) == \
+                frozenset(f"v{i}" for i in range(1, good + 1))
             for s in range(n):
                 for t in range(1, (n - s) // 2 + 1):
                     assert _blocks_equal(seq, s, t) == \
