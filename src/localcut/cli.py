@@ -472,7 +472,9 @@ def _run_sample(args):
     elif jobs > 1:
         worker = partial(_sample_once, draw, payload, cap)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(worker, seeds))
+            # one chunk per worker: the payload is pickled once per
+            # worker, not once per seed
+            rows = list(pool.map(worker, seeds, chunksize=-(-runs // jobs)))
     else:
         rows = [_sample_once(draw, payload, cap, s) for s in seeds]
     successes = sum(1 for row in rows if row["success"])

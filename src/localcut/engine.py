@@ -185,12 +185,18 @@ def apply_risk_operator(inst: CutInstance,
     all-ones function; otherwise every entry must be >= 1 (path products
     below 1 would break the cheapest-first search).
     """
-    simple = inst.simple
     if all(w == 0.0 for w in weights.values()):
-        return {arc: 1.0 for arc in simple.arcs}
+        return {arc: 1.0 for arc in inst.simple.arcs}
+    return _risk_update(inst, weights)
+
+
+def _risk_update(inst: CutInstance,
+                 weights: Mapping[Arc, float]) -> dict[Arc, float]:
+    """The operator without the zero-start convention: every weight is
+    checked, once."""
     products = _tail_products(inst, weights)
     out: dict[Arc, float] = {}
-    for arc in simple.arcs:
+    for arc in inst.simple.arcs:
         tail, head = arc
         from_tail = products[tail]
         floor = _floor(inst, head, from_tail)
@@ -211,8 +217,11 @@ class WeightReport:
 
 def check_weight_condition(inst: CutInstance, weights: Mapping[Arc, float],
                            tol: float = TOL) -> WeightReport:
-    """Check the per-arc condition; feasible iff every margin >= -tol."""
-    updated = apply_risk_operator(inst, weights)
+    """Check the per-arc condition; feasible iff every margin >= -tol.
+
+    Supplied weights are validated even when all are zero, which the
+    operator would read as the Kleene start."""
+    updated = _risk_update(inst, weights)
     margins = {arc: weights[arc] - updated[arc] for arc in updated}
     feasible = all(m >= -tol for m in margins.values())
     return WeightReport(dict(weights), margins, feasible, 0)

@@ -175,15 +175,16 @@ def random_graph_max_degree(n: int, max_degree: int, target_edges: int,
     rng = random.Random(seed)
     vertices = [f"w{i}" for i in range(n)]
     degree = {v: 0 for v in vertices}
-    chosen: set[frozenset[str]] = set()
-    pairs = [frozenset(p) for p in itertools.combinations(vertices, 2)]
+    chosen: list[tuple[str, str]] = []
+    # The seeded stream fixes the graph only through a shuffle of all
+    # n(n-1)/2 pairs, so this stays quadratic in n.
+    pairs = list(itertools.combinations(vertices, 2))
     rng.shuffle(pairs)
-    for pair in pairs:
+    for a, b in pairs:
         if len(chosen) >= target_edges:
             break
-        a, b = tuple(pair)
         if degree[a] < max_degree and degree[b] < max_degree:
-            chosen.add(pair)
+            chosen.append((a, b))
             degree[a] += 1
             degree[b] += 1
     return Graph.build(vertices, sorted(sorted(p) for p in chosen))

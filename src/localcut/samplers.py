@@ -10,6 +10,7 @@ and stop with an honest cap-exhausted report rather than looping.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
@@ -71,17 +72,29 @@ def moser_tardos_two_coloring(hypergraph: Hypergraph, seed: int,
                               cap: int = RESAMPLE_CAP
                               ) -> tuple[dict[str, int] | None, SamplerReport]:
     """Random 2-coloring, then resample the vertices of the first
-    monochromatic edge until none remains or the cap is hit."""
+    monochromatic edge until none remains or the cap is hit.
+
+    A resample changes the status of only the edges at the resampled
+    vertices, so only those are re-tested.  Monochromatic edge indices
+    wait in a min-heap, stale entries are dropped when they surface, and
+    the least index is the first monochromatic edge in edge order."""
     if cap < 0:
         raise SamplerError("cap must be nonnegative")
     rng = np.random.default_rng(seed)
     order = hypergraph.vertices
     colors = {v: int(b) for v, b in zip(order, rng.integers(0, 2, len(order)))}
+    edges = hypergraph.edges
+
+    def monochromatic(idx: int) -> bool:
+        return len({colors[v] for v in edges[idx]}) == 1
+
+    mono = [monochromatic(idx) for idx in range(len(edges))]
+    heap = [idx for idx, m in enumerate(mono) if m]   # sorted, so a heap
     resamples = 0
     while True:
-        bad = next((edge for edge in hypergraph.edges
-                    if len({colors[v] for v in edge}) == 1), None)
-        if bad is None:
+        while heap and not mono[heap[0]]:
+            heapq.heappop(heap)
+        if not heap:
             ok, _ = verify_proper_2coloring(hypergraph, colors)
             if not ok:
                 raise RuntimeError("verifier rejected a finished coloring")
@@ -89,9 +102,15 @@ def moser_tardos_two_coloring(hypergraph: Hypergraph, seed: int,
         if resamples >= cap:
             return None, SamplerReport(False, resamples, seed,
                                        "resample cap exhausted")
+        bad = edges[heap[0]]
         for v in sorted(bad):
             colors[v] = int(rng.integers(0, 2))
         resamples += 1
+        for idx in {idx for v in bad for idx in hypergraph.edges_at[v]}:
+            now = monochromatic(idx)
+            if now and not mono[idx]:
+                heapq.heappush(heap, idx)
+            mono[idx] = now
 
 
 # -------------------------------------------- repetition-free sequences
@@ -224,7 +243,9 @@ def _bichromatic_cycle(graph: Graph, edge: frozenset, color: int,
     """A cycle through `edge` alternating `color` with some other shade,
     or None.  Properness makes the alternating walk deterministic."""
     x, y = sorted(edge)
-    others = {c for (v, c) in at if v in (x, y) and c != color}
+    # the walk leaves x on the other shade, so only x's colors can start one
+    others = {coloring.get(frozenset((x, u)))
+              for u in graph.neighbors[x]} - {None, color}
     for d in sorted(others):
         path = []
         cur, want = x, d
@@ -316,14 +337,17 @@ def is_acyclic_edge_coloring(graph: Graph,
                                     (tuple(sorted(seen[c])),
                                      tuple(sorted(edge))))
             seen[c] = edge
-    used = sorted({coloring[edge] for edge in graph.edges})
-    for pair in itertools.combinations(used, 2):
+    ends = [sorted(edge) for edge in graph.edges]
+    classes: dict[int, list[int]] = {}
+    for idx, edge in enumerate(graph.edges):
+        classes.setdefault(coloring[edge], []).append(idx)
+    for c, d in itertools.combinations(sorted(classes), 2):
+        # merged in edge order, which fixes adjacency order and witnesses
         adj: dict[str, list[str]] = {}
-        for edge in graph.edges:
-            if coloring[edge] in pair:
-                a, b = sorted(edge)
-                adj.setdefault(a, []).append(b)
-                adj.setdefault(b, []).append(a)
+        for idx in heapq.merge(classes[c], classes[d]):
+            a, b = ends[idx]
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
         visited: set[str] = set()
         for root in sorted(adj):
             if root in visited:

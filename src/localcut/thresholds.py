@@ -17,6 +17,7 @@ in double precision lands within about 1e-10 of the true point.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -498,34 +499,45 @@ def greedy_peel(hypergraph: Hypergraph, k: int, c: float,
         raise ValueError("need k - c > 0")
     if not z > 1.0:
         raise ValueError("need z > 1")
-    position = {v: i for i, v in enumerate(hypergraph.vertices)}
-    alive = set(hypergraph.vertices)
-    surviving = {idx: len(edge) for idx, edge in enumerate(hypergraph.edges)}
+    vertices, edges = hypergraph.vertices, hypergraph.edges
+    edges_at = hypergraph.edges_at
+    position = {v: i for i, v in enumerate(vertices)}
+    alive = set(vertices)
+    surviving = [len(edge) for edge in edges]
+    threshold = k - c
     order: list[str] = []
     sums: list[float] = []
 
     def charge(v: str) -> float:
-        return sum(g_weight(surviving[idx], z)
-                   for idx in hypergraph.edges_at[v])
+        return sum(g_weight(surviving[idx], z) for idx in edges_at[v])
 
-    while alive:
-        ready = [v for v in alive if charge(v) >= k - c]
-        if not ready:
-            break
-        v = min(ready, key=position.__getitem__)
+    # Peeling v changes only the charges of live vertices sharing an edge
+    # with v, so only those are recomputed.  A charge can fall (g(1) <
+    # g(2) when z < 3/2), so a heap entry (input position) is re-checked
+    # when popped, and pushed again whenever a recomputed charge is ready.
+    charges = {v: charge(v) for v in vertices}
+    ready = [i for i, v in enumerate(vertices) if charges[v] >= threshold]
+    while ready:
+        v = vertices[heapq.heappop(ready)]
+        if v not in alive or charges[v] < threshold:
+            continue
         order.append(v)
-        sums.append(charge(v))
+        sums.append(charges[v])
         alive.remove(v)
-        for idx in hypergraph.edges_at[v]:
+        for idx in edges_at[v]:
             surviving[idx] -= 1
+        for u in {u for idx in edges_at[v] for u in edges[idx]} & alive:
+            charges[u] = charge(u)
+            if charges[u] >= threshold:
+                heapq.heappush(ready, position[u])
 
     profiles: dict[str, DegreeProfile] = {}
     if alive:
         for v in sorted(alive, key=position.__getitem__):
             partial: dict[int, int] = {}
             full: dict[int, int] = {}
-            for idx in hypergraph.edges_at[v]:
-                edge = hypergraph.edges[idx]
+            for idx in edges_at[v]:
+                edge = edges[idx]
                 if edge <= alive:
                     full[len(edge)] = full.get(len(edge), 0) + 1
                 else:
@@ -536,5 +548,4 @@ def greedy_peel(hypergraph: Hypergraph, k: int, c: float,
         "stopped" if alive else "all-peeled",
         tuple(order), tuple(sums), math.fsum(sums),
         tuple(sorted(alive, key=position.__getitem__)), profiles,
-        hypergraph.is_true_hypergraph(),
-        len(hypergraph.edges), len(hypergraph.vertices))
+        hypergraph.is_true_hypergraph(), len(edges), len(vertices))

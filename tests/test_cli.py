@@ -111,7 +111,10 @@ FAMILY = {"ground": ["a", "b"],
     ("check-family", {"a": "nan", "b": 1}),
     ("check-family", {"a": 2, "b": "inf"}),
     ("check-lcl", {"x->y": "inf"}),
-], ids=["tau-list", "tau-unknown", "tau-nan", "tau-inf", "arc-inf"])
+    # all zeros is the solver's start, not a weight function to judge
+    ("check-lcl", {"x->y": 0}),
+], ids=["tau-list", "tau-unknown", "tau-nan", "tau-inf", "arc-inf",
+        "arc-all-zero"])
 def test_malformed_or_non_finite_weights_exit_2(subcommand, weights,
                                                 tmp_path, capsys):
     if subcommand == "check-family":
