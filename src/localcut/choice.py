@@ -246,12 +246,16 @@ class ChoiceSearchResult:
 
 
 def randomized_choice_search(inst: ChoiceInstance, weights: MarginalWeights,
-                             seed: int,
-                             cap: int = RESAMPLE_CAP) -> ChoiceSearchResult:
+                             seed: int, cap: int = RESAMPLE_CAP,
+                             report: ExpectationReport | None = None
+                             ) -> ChoiceSearchResult:
     """Sample each universe by its normalized marginals, then repeatedly
     resample every universe of the first violated forbidden set.  Stops at
-    the cap; a returned choice is always re-verified."""
-    report = check_expectation_condition(inst, weights)
+    the cap; a returned choice is always re-verified.  The marginals must
+    pass the expectation condition: `report` is its check of these
+    weights, made here at the default tolerance when not given."""
+    if report is None:
+        report = check_expectation_condition(inst, weights)
     if not report.feasible:
         raise ChoiceError("expectation condition is infeasible")
     if cap < 0:

@@ -273,7 +273,7 @@ def _run_check_lll(args):
     rows = [{"index": i, "p": inst.probs[i], "mu": inst.mu[i],
              "margin": rep.margins[i]} for i in range(1, inst.n + 1)]
     if rep.feasible:
-        translated = lll.mu_to_tau(inst, tol)
+        translated = lll.mu_to_tau(inst, tol, rep)
         report["tau"] = [translated.tau[i] for i in range(1, inst.n + 1)]
         report["product_identity_error"] = translated.product_identity_error
     return (EXIT_OK if rep.feasible else EXIT_NEGATIVE), report, rows
@@ -376,7 +376,8 @@ def _run_choice(args):
     if "p" not in data:
         raise ChoiceError('instance needs a "p" weight map')
     weights = marginals_from_json(inst, data["p"])
-    rep = check_expectation_condition(inst, weights)
+    tol = _setting(args, "tol", "TOL", float, TOL)
+    rep = check_expectation_condition(inst, weights, tol)
     report = {"subcommand": "choice", "feasible": rep.feasible,
               "margins": list(rep.sum_margins),
               "equivalence_gap": rep.equivalence_gap}
@@ -386,7 +387,7 @@ def _run_choice(args):
         return EXIT_NEGATIVE, report, rows
     seed = _setting(args, "seed", "SEED", int, 0)
     cap = _setting(args, "cap", "CAP", int, RESAMPLE_CAP)
-    found = randomized_choice_search(inst, weights, seed, cap)
+    found = randomized_choice_search(inst, weights, seed, cap, rep)
     report.update({"status": found.status, "resamples": found.resamples,
                    "choice": list(found.choice) if found.choice else None})
     if found.status != "found":
@@ -615,7 +616,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_run_threshold)
 
     p = sub.add_parser("choice", help="expectation condition + search")
-    common(p, "seed", "cap")
+    common(p, "tol", "seed", "cap")
     p.set_defaults(handler=_run_choice)
 
     p = sub.add_parser("sample", help="randomized constructions")

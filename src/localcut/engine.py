@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from .digraph import (Arc, MultiDigraph, SimpleDigraph, check_weights,
@@ -347,11 +348,6 @@ def telescoping_check(a: Sequence[float], b: Sequence[float],
 
 # ------------------------------------------- nonrepetitive-sequence builder
 
-def _blocks_equal(seq: Sequence, s: int, t: int) -> bool:
-    """Does position block [s, s+t) repeat immediately after (0-based s)?"""
-    return seq[s:s + t] == seq[s + t:s + 2 * t]
-
-
 def build_nonrep_instance(lists: Sequence[Sequence], *,
                           risk_mode: str = "exact",
                           cap: int = ENUM_CAP) -> CutInstance:
@@ -376,36 +372,54 @@ def build_nonrep_instance(lists: Sequence[Sequence], *,
         raise ValueError(f"unknown risk_mode {risk_mode!r}")
 
     vertices = [f"v{i}" for i in range(1, n + 1)]
-    edges = []           # (edge_id, tail, head) with block data alongside
-    block_of: dict[str, tuple[int, int]] = {}
-    for i in range(1, n):                 # arc (v_{i+1} -> v_i)
-        end = i + 1                       # copy ends at position end
-        for t in range(1, end // 2 + 1):
-            s = end - 2 * t + 1
-            eid = f"e_{s}_{t}"
-            edges.append((eid, f"v{i + 1}", f"v{i}"))
-            block_of[eid] = (s, t)
-    graph = MultiDigraph.build(vertices, edges)
+    # per copy end e, its block pairs by length as (edge id, start, middle):
+    # seq[start:middle] repeats as seq[middle:e], an edge of arc v_e -> v_{e-1}
+    at_end = [[(f"e_{e - 2 * t + 1}_{t}", e - 2 * t, e - t)
+               for t in range(1, e // 2 + 1)] for e in range(n + 1)]
+    graph = MultiDigraph.build(vertices, [
+        (eid, f"v{e}", f"v{e - 1}")
+        for e in range(n + 1) for eid, _, _ in at_end[e]])
 
     space = ProductSpace.uniform(
         [(f"a{i}", list(values)) for i, values in enumerate(lists, start=1)])
 
     names = [f"a{i}" for i in range(1, n + 1)]
+    # itemgetter with one key returns the value, not a 1-tuple
+    key = itemgetter(*names) if n > 1 else lambda point: (point[names[0]],)
     prefixes = [frozenset(vertices[:good]) for good in range(n + 1)]
-    # ordered by copy end, then length: the first repeat ends the clean prefix
-    blocks = [(eid, s - 1, t) for eid, (s, t) in block_of.items()]
+    # One scan serves a_of and f_of, kept for the last sequence seen: per
+    # copy end e, the repeats ending at or before e and the clean prefix
+    # length given the first e positions.  Both depend on those positions
+    # alone, so a new sequence rescans only the ends past the prefix it
+    # shares with the last one.
+    last = None
+    repeats = [frozenset()] * (n + 1)
+    clean = list(range(n + 1))
+
+    def scan(point) -> None:
+        nonlocal last
+        seq = key(point)
+        if seq == last:
+            return
+        shared = 0
+        if last is not None:
+            while shared < n and seq[shared] == last[shared]:
+                shared += 1
+        for e in range(shared + 1, n + 1):
+            hit = [eid for eid, s, m in at_end[e] if seq[s:m] == seq[m:e]]
+            repeats[e] = repeats[e - 1].union(hit) if hit else repeats[e - 1]
+            # the first repeat ends the clean prefix
+            clean[e] = (clean[e - 1] if clean[e - 1] < e - 1
+                        else e - 1 if hit else e)
+        last = seq
 
     def a_of(point) -> frozenset[str]:
-        seq = [point[a] for a in names]
-        for _, s, t in blocks:
-            if _blocks_equal(seq, s, t):
-                return prefixes[s + 2 * t - 1]
-        return prefixes[n]
+        scan(point)
+        return prefixes[clean[n]]
 
     def f_of(point) -> frozenset[str]:
-        seq = [point[a] for a in names]
-        return frozenset(eid for eid, s, t in blocks
-                         if _blocks_equal(seq, s, t))
+        scan(point)
+        return repeats[n]
 
     model = CutModel(graph, a_of, f_of)
 
@@ -414,12 +428,12 @@ def build_nonrep_instance(lists: Sequence[Sequence], *,
         risks, checked = risk_table_exact(space, model, cap=cap)
     else:
         entries = {}
-        for e in graph.edges:
-            s, t = block_of[e.id]
-            bound = 1.0
-            for k in range(s, s + t):
-                bound /= len(lists[k + t - 1])   # list at position k+t
-            entries[(e.id, f"v{s + t - 1}")] = bound
+        for e in range(n + 1):
+            for eid, start, middle in at_end[e]:
+                bound = 1.0
+                for values in lists[middle:e]:    # the copy's positions
+                    bound /= len(values)
+                entries[(eid, f"v{middle}")] = bound
         risks = RiskTable(entries)
         risks.validate(graph)
     return CutInstance(graph, risks, space, model, checked)

@@ -35,15 +35,22 @@ Subset = frozenset
 
 @dataclass(frozen=True)
 class FamilyInstance:
+    """`blockers`, when given, lists per outcome sets no member may
+    contain; the family must then be exactly the subsets containing none
+    of them, the sets `member` accepts."""
+
     ground: tuple[str, ...]
     space: ProductSpace
     member: Callable[[SamplePoint, Subset], bool]
     events: dict[str, tuple[tuple[str, Event], ...]]   # element -> (label, event)
+    blockers: Callable[[SamplePoint], Iterable[Subset]] | None = None
 
     @staticmethod
     def build(ground: Iterable[str], space: ProductSpace,
               member: Callable[[SamplePoint, Subset], bool],
-              events: Mapping[str, Sequence[tuple[str, Event]]]) -> "FamilyInstance":
+              events: Mapping[str, Sequence[tuple[str, Event]]],
+              blockers: Callable[[SamplePoint], Iterable[Subset]] | None = None
+              ) -> "FamilyInstance":
         g = tuple(sorted(ground))
         if len(set(g)) != len(g) or not g:
             raise ValueError("ground set must be nonempty without duplicates")
@@ -57,7 +64,7 @@ class FamilyInstance:
         unknown = set(events) - set(g)
         if unknown:
             raise ValueError(f"events for unknown elements {sorted(unknown)}")
-        return FamilyInstance(g, space, member, evs)
+        return FamilyInstance(g, space, member, evs, blockers)
 
 
 def family_of(inst: FamilyInstance, point: SamplePoint) -> frozenset[Subset]:
@@ -171,17 +178,42 @@ class FamilyValidation:
 def validate_family_instance(inst: FamilyInstance, *,
                              cap: int = ENUM_CAP) -> FamilyValidation:
     """Check, on every positive-probability outcome: the family is nonempty
-    and downward-closed, and every boundary element has a true event."""
+    and downward-closed, and every boundary element has a true event.
+
+    With blockers, an outcome's family is every subset but those holding
+    one of its blockers, a few bitset operations per blocker; otherwise
+    `member` is asked about each subset."""
     inst.space.check_cap(cap)
     lattice = _Lattice(inst.ground, cap)
-    subsets = [(s, 1 << lattice.mask(s)) for s in all_subsets(inst.ground)]
+    if inst.blockers is not None:
+        full = (1 << (1 << len(inst.ground))) - 1
+        up: dict[Subset, int] = {}      # blocker -> the subsets holding it
+
+        def family_at(point: SamplePoint) -> int:
+            blocked = 0
+            for b in inst.blockers(point):
+                bits = up.get(b)
+                if bits is None:
+                    bits = full
+                    for k in _bits(lattice.mask(b)):
+                        bits &= lattice.with_elem[k]
+                    up[b] = bits
+                blocked |= bits
+            return full & ~blocked
+    else:
+        subsets = [(s, 1 << lattice.mask(s)) for s in all_subsets(inst.ground)]
+
+        def family_at(point: SamplePoint) -> int:
+            family = 0
+            for s, bit in subsets:
+                if inst.member(point, s):
+                    family |= bit
+            return family
+
     for point, prob in inst.space.outcomes(cap):
         if prob <= 0.0:
             continue
-        family = 0
-        for s, bit in subsets:
-            if inst.member(point, s):
-                family |= bit
+        family = family_at(point)
         try:
             edge = lattice.boundary(family)
         except ValueError as exc:
@@ -423,7 +455,8 @@ def hypergraph_coloring_family(hypergraph: Hypergraph, colors: int = 2,
 
     Each vertex's bundle has one event per incident edge: that edge is
     monochromatic.  Default witnesses drop one other vertex from the edge
-    (witness_drop=True); otherwise the whole edge is the witness.
+    (witness_drop=True); otherwise the whole edge is the witness.  An
+    outcome's blockers are its monochromatic edges.
     """
     if colors < 2:
         raise ValueError("need at least two colors")
@@ -442,6 +475,10 @@ def hypergraph_coloring_family(hypergraph: Hypergraph, colors: int = 2,
                 if all(point[key] == color for key in rest):
                     return False
         return True
+
+    def monochromatic(point: SamplePoint) -> list[Subset]:
+        return [edge for edge, first, rest in edge_keys
+                if all(point[key] == point[first] for key in rest)]
 
     def mono_event(edge: Subset) -> Event:
         members = sorted(edge)
@@ -464,5 +501,6 @@ def hypergraph_coloring_family(hypergraph: Hypergraph, colors: int = 2,
                 witnesses[(v, label)] = frozenset(edge - {dropped})
             else:
                 witnesses[(v, label)] = frozenset(edge)
-    inst = FamilyInstance.build(hypergraph.vertices, space, member, events)
+    inst = FamilyInstance.build(hypergraph.vertices, space, member, events,
+                                monochromatic)
     return inst, witnesses

@@ -100,16 +100,19 @@ class MuTauResult:
     product_identity_error: float # |bound * prod tau - 1|
 
 
-def mu_to_tau(inst: LllInstance, tol: float = TOL) -> MuTauResult:
+def mu_to_tau(inst: LllInstance, tol: float = TOL,
+              report: LopsidedReport | None = None) -> MuTauResult:
     """Translate levels to weights tau_i = 1/(1 - mu_i) and check that a
     feasible instance satisfies the per-element weight condition.
 
-    Raises LllError when the instance fails the lopsided check: the
-    translation is only claimed for feasible inputs.
+    `report` is the instance's lopsided check at tol, made here when not
+    given.  Raises LllError when the instance fails it: the translation is
+    only claimed for feasible inputs.
     """
     from .families import check_tau_condition
 
-    report = check_lopsided(inst, tol)
+    if report is None:
+        report = check_lopsided(inst, tol)
     if not report.feasible:
         raise LllError("instance fails the lopsided condition")
     events = range(1, inst.n + 1)

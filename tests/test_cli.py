@@ -231,6 +231,27 @@ def test_check_lll_exit_codes_and_translation(tmp_path, capsys):
     assert report["mu"] == pytest.approx([want, want], abs=1e-6)
 
 
+def test_check_lll_runs_the_lopsided_check_once(tmp_path, capsys,
+                                               monkeypatch):
+    from localcut import lll
+
+    calls = []
+    check = lll.check_lopsided
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    path = write(tmp_path, "ok.json",
+                 {"n": 2, "gamma": [[2], [1]],
+                  "p": [0.125, 0.125], "mu": [0.25, 0.25]})
+    code, first, _ = run(["check-lll", path], capsys)
+    monkeypatch.setattr(lll, "check_lopsided", counted)
+    code, out, _ = run(["check-lll", path], capsys)
+    assert code == 0 and len(calls) == 1 and out == first
+    assert "tau" in json.loads(out)
+
+
 # -------------------------------------------------------------- threshold
 
 def test_threshold_hypcol_bound(capsys):
@@ -336,6 +357,34 @@ def test_choice_search_and_negative(tmp_path, capsys):
                   "p": {"a1": 0.3, "a2": 0.3}})
     code, out, _ = run(["choice", thin], capsys)
     assert code == 1 and not json.loads(out)["feasible"]
+
+
+def test_choice_verdict_is_taken_at_tol(tmp_path, capsys, monkeypatch):
+    from localcut import choice
+
+    calls = []
+    check = choice.check_expectation_condition
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(choice, "check_expectation_condition", counted)
+    # each universe's margin is 0.5 + (0.75 - 1e-10) - 1 - 0.5 * 0.5
+    short = 0.75 - 1e-10
+    path = write(tmp_path, "near.json",
+                 {"universes": [["a0", "a1"], ["b0", "b1"]],
+                  "forbidden": [["a0", "b0"]],
+                  "p": {"a0": 0.5, "a1": short, "b0": 0.5, "b1": short}})
+    code, out, _ = run(["choice", path], capsys)
+    report = json.loads(out)
+    assert code == 1 and not report["feasible"]
+    assert all(-2e-10 < m < -5e-11 for m in report["margins"])
+    code, out, _ = run(["choice", path, "--tol", "1e-9"], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["feasible"] and report["status"] == "found"
+    # the search takes the verdict's check instead of making its own
+    assert len(calls) == 2
 
 
 # ----------------------------------------------------------------- sample

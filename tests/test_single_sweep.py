@@ -7,6 +7,7 @@ definition, run as its own pass, so results must agree exactly: tables
 with ==, checks field for field.
 """
 
+import dataclasses
 import itertools
 import json
 import os
@@ -19,7 +20,7 @@ import pytest
 import localcut
 from localcut.cli import main
 from localcut.digraph import MultiDigraph, head_reach, underlying_simple
-from localcut.engine import _blocks_equal, build_nonrep_instance
+from localcut.engine import build_nonrep_instance
 from localcut.families import (FamilyInstance, all_subsets, boundary,
                                family_of, hypergraph_coloring_family,
                                validate_family_instance)
@@ -199,19 +200,24 @@ def reference_blocks_equal(seq, s, t):
     return all(seq[k] == seq[k + t] for k in range(s, s + t))
 
 
+def reference_model(seq):
+    """A and F of one sequence, by the elementwise definitions."""
+    n = len(seq)
+    good = reference_prefix_length(seq)
+    return (frozenset(f"v{i}" for i in range(1, good + 1)),
+            frozenset(f"e_{s + 1}_{t}" for s in range(n)
+                      for t in range(1, (n - s) // 2 + 1)
+                      if reference_blocks_equal(seq, s, t)))
+
+
 def test_square_test_matches_elementwise_scan():
     # a model needs one position; the empty sequence has no blocks
     for n in range(1, 8):
         inst = build_nonrep_instance([[0, 1, 2]] * n, risk_mode="bound")
         for seq in itertools.product(range(3), repeat=n):
             point = {f"a{i}": x for i, x in enumerate(seq, start=1)}
-            good = reference_prefix_length(seq)
-            assert inst.model.a_of(point) == \
-                frozenset(f"v{i}" for i in range(1, good + 1))
-            for s in range(n):
-                for t in range(1, (n - s) // 2 + 1):
-                    assert _blocks_equal(seq, s, t) == \
-                        reference_blocks_equal(seq, s, t)
+            assert (inst.model.a_of(point), inst.model.f_of(point)) == \
+                reference_model(seq)
 
 
 def test_nonrep_model_matches_elementwise_scan_on_every_outcome():
@@ -231,6 +237,30 @@ def test_nonrep_model_matches_elementwise_scan_on_every_outcome():
                 assert inst.model.f_of(point) == frozenset(
                     eid for eid, (s, t) in blocks.items()
                     if reference_blocks_equal(seq, s - 1, t))
+
+
+def test_nonrep_scan_is_right_in_any_call_order():
+    # the model keeps one scan for the last sequence and rescans only past
+    # the prefix a new one shares with it; no order or call mix may show it
+    rng = random.Random(3)
+    for lists in [[[0, 1]], [[0, 1], [1, 0, 2]]] + nonrep_cases()[-6:]:
+        n = len(lists)
+        inst = build_nonrep_instance(lists, risk_mode="bound")
+        points = [point for point, _ in inst.space.outcomes()]
+        shuffled = rng.sample(points, len(points))
+        repeated = list(shuffled)
+        k = rng.randrange(len(points))
+        repeated[k + 1:k + 1] = [dict(repeated[k]), repeated[k]]
+        for order in (shuffled, points[::-1], repeated):
+            for calls in ("af", "fa", "a", "f"):
+                for point in order:
+                    inside, repeated = reference_model(
+                        [point[f"a{i}"] for i in range(1, n + 1)])
+                    for call in calls:
+                        if call == "a":
+                            assert inst.model.a_of(point) == inside
+                        else:
+                            assert inst.model.f_of(point) == repeated
 
 
 # ------------------------------------------------------ family validation
@@ -303,6 +333,36 @@ def test_family_validation_matches_frozenset_reference():
     holes = FamilyInstance.build(names, bit_space(names), switched,
                                  {"x": [("off", lambda pt: pt["b_x"] == 0)]})
     assert "no true event" in assert_validation_matches(holes).reason
+
+
+def test_blocker_path_matches_member_path():
+    # validation from an outcome's monochromatic edges must give what
+    # asking `member` about every subset gives, failures included
+    rng = random.Random(21)
+    failed = 0
+    for trial in range(40):
+        n = rng.randint(1, 6)
+        vertices = [f"w{i}" for i in range(n)]
+        # edges over a sample of the vertices leave some isolated
+        used = rng.sample(vertices, rng.randint(1, n))
+        edges = [rng.sample(used, rng.randint(1, min(3, len(used))))
+                 for _ in range(rng.randint(1, 4))]
+        if trial % 4 == 0:
+            edges.append([rng.choice(vertices)])
+        fam, _ = hypergraph_coloring_family(
+            Hypergraph.build(vertices, edges), colors=2 + trial % 2)
+        assert fam.blockers is not None
+        elem = rng.choice(sorted({v for e in edges for v in e}))
+        broken = dataclasses.replace(fam, events={**fam.events, elem: ()})
+        for inst in (fam, broken):
+            got = validate_family_instance(inst)
+            plain = validate_family_instance(
+                dataclasses.replace(inst, blockers=None))
+            assert (got.ok, got.counterexample, got.reason) == \
+                (plain.ok, plain.counterexample, plain.reason)
+            assert got.ok or inst is broken
+        failed += not got.ok
+    assert failed > 0
 
 
 def test_broken_member_callbacks_are_reported():
