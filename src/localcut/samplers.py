@@ -122,18 +122,80 @@ def _symbol_codes(symbols: Sequence[Hashable],
             table[s] = len(table)
 
 
-def _shortest_square(codes: np.ndarray, m: int) -> int:
-    """Half length of the shortest doubled block ending at codes[m], or 0.
+_GRAM = 12   # symbols per index key; shorter squares are tested directly
 
-    All shifts t <= (m+1)//2 are tested together, one depth j at a time:
-    shift t survives depth j while codes[m-j] == codes[m-j-t].  Shifts
-    finish in increasing order, so the first to reach depth t wins."""
-    alive = np.arange(1, (m + 1) // 2 + 1)
-    depth = 0
-    while alive.size and alive[0] > depth:
-        alive = alive[codes[m - depth - alive] == codes[m - depth]]
-        depth += 1
-    return int(alive[0]) if alive.size else 0
+
+class _SquareIndex:
+    """The code buffer of the sequence builder, with the end positions of
+    each gram: the last `_GRAM` codes ending at a position, or the whole
+    prefix while the buffer is shorter.  A gram's key is its exact value
+    in base `symbols + 1` with digits code + 1, so grams of different
+    lengths never share a key.
+
+    `push` appends a code and returns the half length of the shortest
+    doubled block ending at it, or 0.  A doubled block of half length
+    t >= `_GRAM` ending at m repeats the gram ending at m exactly t
+    positions earlier, so only those earlier ends need testing, nearest
+    first.  Shorter halves are tested at the buffer end directly."""
+
+    def __init__(self, symbols: int) -> None:
+        self.gram = _GRAM
+        self.base = symbols + 1
+        self.span = self.base ** self.gram
+        self.codes: list[int] = []
+        self.keys: list[int] = []   # the gram key of each position
+        self.ends: dict[int, list[int]] = {}
+
+    def push(self, code: int) -> int:
+        codes, keys, gram = self.codes, self.keys, self.gram
+        m = len(codes)
+        key = ((keys[-1] if m else 0) * self.base + code + 1) % self.span
+        codes.append(code)
+        keys.append(key)
+        half = (m + 1) // 2
+        ends = self.ends.setdefault(key, [])
+        found = 0
+        for t in range(1, min(gram - 1, half) + 1):
+            if (codes[m - t] == code
+                    and codes[m - 2 * t + 1:m - t + 1] == codes[m - t + 1:]):
+                found = t
+                break
+        else:
+            # with no shorter square, every earlier end is >= gram back
+            for p in reversed(ends):
+                t = m - p
+                if t > half:
+                    break
+                if _halves_agree(codes, p, m, t, gram):
+                    found = t
+                    break
+        ends.append(m)
+        return found
+
+    def pop(self, t: int) -> None:
+        """Erase the last t codes: each is the last end of its gram."""
+        for key in self.keys[-t:]:
+            ends = self.ends[key]
+            ends.pop()
+            if not ends:
+                del self.ends[key]
+        del self.keys[-t:]
+        del self.codes[-t:]
+
+
+def _halves_agree(codes: list[int], p: int, m: int, t: int,
+                  known: int) -> bool:
+    """True when the t codes ending at p equal those ending at m, given
+    that the last `known` of them already agree.  Slices double in
+    length from there, so a mismatch costs at most twice the agreeing
+    run before it."""
+    j, step = known, known
+    while j < t:
+        e = min(j + step, t)
+        if codes[p - e + 1:p - j + 1] != codes[m - e + 1:m - j + 1]:
+            return False
+        j, step = e, 2 * step
+    return True
 
 
 def nonrep_sequence_build(lists: ListAssignment, seed: int,
@@ -147,7 +209,8 @@ def nonrep_sequence_build(lists: ListAssignment, seed: int,
     The buffer is square-free before every draw, so any doubled block
     the new symbol creates ends at it.  Erasing that block's second half
     leaves a prefix of the previous buffer, so the invariant holds again.
-    No detection state is kept between draws.
+    A `_SquareIndex` kept across draws finds that block; erasing pops the
+    erased positions from it.
     """
     if cap < 0:
         raise SamplerError("cap must be nonnegative")
@@ -156,7 +219,7 @@ def nonrep_sequence_build(lists: ListAssignment, seed: int,
     table: dict[Hashable, int] = {}
     for symbols in lists.lists:
         _symbol_codes(symbols, table)
-    codes = np.zeros(n, dtype=np.int64)
+    index = _SquareIndex(len(table))
     buf: list[Hashable] = []
     draws = 0
     while len(buf) < n:
@@ -167,10 +230,10 @@ def nonrep_sequence_build(lists: ListAssignment, seed: int,
         symbols = lists.lists[position]
         symbol = symbols[int(rng.integers(0, len(symbols)))]
         draws += 1
-        codes[position] = table[symbol]
         buf.append(symbol)
-        t = _shortest_square(codes, position)
+        t = index.push(table[symbol])
         if t:
+            index.pop(t)
             del buf[-t:]
     sequence = tuple(buf)
     check = is_nonrepetitive(sequence)
@@ -194,14 +257,15 @@ def is_nonrepetitive(sequence: Sequence[Hashable]) -> NonrepCheck:
     n = len(sequence)
     table: dict[Hashable, int] = {}
     _symbol_codes(sequence, table)
-    codes = np.array([table[s] for s in sequence], dtype=np.int64)
+    # int32 holds every code and count for n < 2**31, and halves the
+    # memory traffic of the n/2 passes against int64
+    codes = np.array([table[s] for s in sequence], dtype=np.int32)
+    sums = np.zeros(n + 1, dtype=np.int32)   # sums[i]: agreements before i
     for t in range(1, n // 2 + 1):
-        eq = codes[t:] == codes[:-t]
-        sums = np.concatenate(([0], np.cumsum(eq)))
-        starts = np.nonzero(sums[t:] - sums[:-t] == t)[0]
-        for k in starts:
-            if k + 2 * t <= n:
-                return NonrepCheck(False, (int(k) + 1, t))
+        np.cumsum(codes[t:] == codes[:-t], out=sums[1:n - t + 1])
+        starts = np.flatnonzero(sums[t:n - t + 1] - sums[:n - 2 * t + 1] == t)
+        if starts.size:
+            return NonrepCheck(False, (int(starts[0]) + 1, t))
     return NonrepCheck(True, None)
 
 

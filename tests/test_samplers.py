@@ -6,10 +6,11 @@ import random
 import numpy as np
 import pytest
 
+from localcut import samplers
 from localcut.instances import Graph, Hypergraph, ListAssignment
-from localcut.samplers import (BudgetExceededError, PaletteTooSmallError,
-                               SamplerError, _shortest_square,
-                               greedy_acyclic_edge_coloring,
+from localcut.samplers import (DRAW_CAP, BudgetExceededError,
+                               PaletteTooSmallError, SamplerError,
+                               _SquareIndex, greedy_acyclic_edge_coloring,
                                is_acyclic_edge_coloring, is_nonrepetitive,
                                is_nonrepetitive_coloring,
                                moser_tardos_two_coloring,
@@ -109,6 +110,16 @@ def test_is_nonrepetitive_witnesses():
     assert word[s - 1:s - 1 + t] == word[s - 1 + t:s - 1 + 2 * t]
 
 
+def test_is_nonrepetitive_witnesses_against_brute_force():
+    for length in range(9):
+        for word in itertools.product("abc", repeat=length):
+            want = next(((k + 1, t) for t in range(1, length // 2 + 1)
+                         for k in range(length - 2 * t + 1)
+                         if word[k:k + t] == word[k + t:k + 2 * t]), None)
+            chk = is_nonrepetitive(word)
+            assert (chk.ok, chk.witness) == (want is None, want)
+
+
 def test_is_nonrepetitive_on_builder_output_prefixes():
     lists = ListAssignment.uniform(40, 4)
     seq, report = nonrep_sequence_build(lists, seed=2)
@@ -147,29 +158,58 @@ def _nonrep_cases():
             [rng.sample(alphabet, rng.randint(1, 4)) for _ in range(n)])
 
 
+def _assert_matches_naive(lists, seeds, cap):
+    outcomes = set()
+    for seed in seeds:
+        seq, report = nonrep_sequence_build(lists, seed, cap)
+        want, draws, note = naive_nonrep_build(lists, seed, cap)
+        assert (seq, report.steps, report.note) == (want, draws, note)
+        assert report.success == (want is not None)
+        outcomes.add(report.success)
+    return outcomes
+
+
 @pytest.mark.parametrize("cap", [0, 40, 400, 2000])
 def test_nonrep_build_matches_naive_builder(cap):
     outcomes = set()
     for lists in _nonrep_cases():
-        for seed in range(4):
-            seq, report = nonrep_sequence_build(lists, seed, cap)
-            want, draws, note = naive_nonrep_build(lists, seed, cap)
-            assert (seq, report.steps, report.note) == (want, draws, note)
-            assert report.success == (want is not None)
-            outcomes.add(report.success)
+        outcomes |= _assert_matches_naive(lists, range(4), cap)
     if cap:
         assert outcomes == {True, False}     # caps both hit and not hit
 
 
-def test_shortest_square_against_brute_force():
-    for length in range(1, 9):
-        for seq in itertools.product(range(3), repeat=length):
-            codes = np.array(seq, dtype=np.int64)
-            for m in range(length):
-                want = next((t for t in range(1, (m + 1) // 2 + 1)
-                             if seq[m - 2 * t + 1:m - t + 1]
-                             == seq[m - t + 1:m + 1]), 0)
-                assert _shortest_square(codes, m) == want
+@pytest.mark.parametrize("gram", [1, 2, 3])
+def test_nonrep_build_matches_naive_builder_with_short_grams(monkeypatch,
+                                                            gram):
+    # nearly every square is found, and every erase popped, via the index
+    monkeypatch.setattr(samplers, "_GRAM", gram)
+    for lists in _nonrep_cases():
+        _assert_matches_naive(lists, range(4), 2000)
+
+
+@pytest.mark.parametrize("size, n, seeds", [(3, 1000, (0, 1)),
+                                            (3, 2000, (0,)),
+                                            (4, 2500, (0,))])
+def test_nonrep_build_matches_naive_builder_past_the_gram(size, n, seeds):
+    # size-3 lists erase dozens of squares of half length >= the gram
+    # (one >= twice the gram at n = 1000, seed 1); size-4 lists at
+    # n = 2500 erase none, so the index must propose no false square
+    assert _assert_matches_naive(ListAssignment.uniform(n, size), seeds,
+                                 DRAW_CAP) == {True}
+
+
+def test_shortest_square_against_brute_force(monkeypatch):
+    # the index's answer at every end position, for several gram lengths
+    for gram in (1, 2, 3, samplers._GRAM):
+        monkeypatch.setattr(samplers, "_GRAM", gram)
+        for length in range(1, 9):
+            for seq in itertools.product(range(3), repeat=length):
+                index = _SquareIndex(3)
+                for m, code in enumerate(seq):
+                    want = next((t for t in range(1, (m + 1) // 2 + 1)
+                                 if seq[m - 2 * t + 1:m - t + 1]
+                                 == seq[m - t + 1:m + 1]), 0)
+                    assert index.push(code) == want
 
 
 # --------------------------------------------- acyclic edge coloring
