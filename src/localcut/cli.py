@@ -237,7 +237,7 @@ def _run_check_family(args):
                       "feasible": False, "status": "diverged",
                       "iterations": res.iterations}
             return EXIT_NEGATIVE, report, []
-        tau, mode, iterations = res.tau, "solve", res.iterations
+        tau, mode, iterations = res.weights, "solve", res.iterations
         failed = EXIT_INDETERMINATE
     rep = families.check_tau_condition(ground, terms, tau, tol)
     bound = 1.0 / families.tau_of_set(tau, ground) if rep.feasible else 0.0
@@ -257,15 +257,17 @@ def _run_check_lll(args):
     if args.auto_mu:
         cap = _setting(args, "cap", "CAP", int, ITER_CAP)
         res = lll.auto_mu(inst.probs, inst.gamma, tol, cap)
-        feasible = res.status == "converged"
-        found = ([res.mu[i] for i in range(1, inst.n + 1)]
-                 if res.mu is not None else None)
         report = {"subcommand": "check-lll", "mode": "auto-mu",
-                  "feasible": feasible, "iterations": res.iterations,
-                  "mu": found}
-        rows = ([{"index": i + 1, "mu": m} for i, m in enumerate(found)]
-                if found is not None else [])
-        return (EXIT_OK if feasible else EXIT_NEGATIVE), report, rows
+                  "feasible": False, "iterations": res.iterations,
+                  "mu": None}
+        if res.status == "diverged":
+            return EXIT_NEGATIVE, report, []
+        found = lll.LllInstance(inst.n, inst.gamma, inst.probs, res.weights)
+        feasible = lll.check_lopsided(found, tol).feasible
+        mu = [found.mu[i] for i in range(1, inst.n + 1)]
+        report.update(feasible=feasible, mu=mu)
+        rows = [{"index": i, "mu": m} for i, m in enumerate(mu, 1)]
+        return (EXIT_OK if feasible else EXIT_INDETERMINATE), report, rows
     rep = lll.check_lopsided(inst, tol)
     report = {"subcommand": "check-lll", "mode": "check",
               "feasible": rep.feasible, "bound": rep.bound,
@@ -416,7 +418,7 @@ def _run_sample(args):
             "nonrep-seq": samplers.nonrep_sequence_build,
             "acyclic": samplers.greedy_acyclic_edge_coloring}[kind]
     seed = _setting(args, "seed", "SEED", int, 0)
-    cap = _setting(args, "cap", "CAP", int, 10 ** 5)
+    cap = _setting(args, "cap", "CAP", int, samplers.RESAMPLE_CAP)
     jobs = _setting(args, "jobs", "JOBS", int, 1)
     runs = 1 if args.runs is None else args.runs
     if runs < 1:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .digraph import (Arc, MultiDigraph, SimpleDigraph, check_weights,
                       min_product_weights, reachable, underlying_simple)
@@ -40,17 +40,25 @@ class IndeterminateError(RuntimeError):
         self.iterations = iterations
 
 
+class FixedPointResult(NamedTuple):
+    """What a monotone iteration ends with.  weights is the last iterate,
+    None when diverged; it is not checked against any condition."""
+
+    status: str                   # "converged" or "diverged"
+    weights: dict | None
+    iterations: int               # operator applications
+    max_entry: float              # the last iterate's largest entry
+    min_step: float               # most negative per-entry step observed
+
+
 def kleene(operator: Callable[[dict], dict], start: Mapping,
            tol: float = TOL, iter_cap: int = ITER_CAP,
-           value_cap: float = VALUE_CAP
-           ) -> tuple[str, dict, int, float, float]:
+           value_cap: float = VALUE_CAP) -> FixedPointResult:
     """Iterate a monotone operator from `start` until it settles.
 
     Stops "converged" once no entry moves by tol or more, and "diverged"
-    once some entry exceeds value_cap.  Returns the status, the last
-    iterate (None when diverged), the number of operator applications, the
-    last iterate's largest entry and the most negative per-entry step seen.
-    Raises IndeterminateError after iter_cap applications.
+    once some entry exceeds value_cap.  Raises IndeterminateError after
+    iter_cap applications.
     """
     current = dict(start)
     applications = 0
@@ -66,9 +74,11 @@ def kleene(operator: Callable[[dict], dict], start: Mapping,
         current = nxt
         peak = max(current.values(), default=0.0)
         if peak > value_cap:
-            return "diverged", None, applications, peak, min_step
+            return FixedPointResult("diverged", None, applications, peak,
+                                    min_step)
         if sup_step < tol:
-            return "converged", current, applications, peak, min_step
+            return FixedPointResult("converged", current, applications,
+                                    peak, min_step)
     raise IndeterminateError(
         f"no convergence or divergence within {iter_cap} iterations",
         applications)
@@ -213,7 +223,6 @@ class WeightReport:
     weights: dict[Arc, float]
     margins: dict[Arc, float]     # weight - 1 - summed edge risks, per arc
     feasible: bool
-    iterations: int
 
 
 def check_weight_condition(inst: CutInstance, weights: Mapping[Arc, float],
@@ -225,17 +234,7 @@ def check_weight_condition(inst: CutInstance, weights: Mapping[Arc, float],
     updated = _risk_update(inst, weights)
     margins = {arc: weights[arc] - updated[arc] for arc in updated}
     feasible = all(m >= -tol for m in margins.values())
-    return WeightReport(dict(weights), margins, feasible, 0)
-
-
-@dataclass(frozen=True)
-class FixedPointResult:
-    status: str                   # "converged" or "diverged"
-    weights: dict[Arc, float] | None
-    iterations: int
-    report: WeightReport | None
-    max_entry: float
-    min_step: float               # most negative per-entry step observed
+    return WeightReport(dict(weights), margins, feasible)
 
 
 def least_weight_solution(inst: CutInstance, tol: float = TOL,
@@ -246,18 +245,12 @@ def least_weight_solution(inst: CutInstance, tol: float = TOL,
     The chain increases pointwise and sits below every feasible weight
     function, so it either converges to the least solution, blows past
     value_cap when none exists, or runs out of iterations (indeterminate,
-    raised as IndeterminateError).
+    raised as IndeterminateError).  Converged weights are the last
+    iterate; check_weight_condition judges them.
     """
-    status, weights, iterations, peak, min_step = kleene(
-        lambda w: apply_risk_operator(inst, w),
-        dict.fromkeys(inst.simple.arcs, 0.0), tol, iter_cap, value_cap)
-    if weights is None:
-        return FixedPointResult(status, None, iterations, None, peak,
-                                min_step)
-    check = check_weight_condition(inst, weights, tol)
-    report = WeightReport(weights, check.margins, check.feasible, iterations)
-    return FixedPointResult(status, weights, iterations, report, peak,
-                            min_step)
+    return kleene(lambda w: apply_risk_operator(inst, w),
+                  dict.fromkeys(inst.simple.arcs, 0.0), tol, iter_cap,
+                  value_cap)
 
 
 @dataclass(frozen=True)

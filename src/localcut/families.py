@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .digraph import MultiDigraph
-from .engine import ITER_CAP, TOL, VALUE_CAP, WeightReport, kleene
+from .engine import (ITER_CAP, TOL, VALUE_CAP, FixedPointResult,
+                     WeightReport, kleene)
 from .instances import Hypergraph
 from .probability import (ENUM_CAP, CutModel, EnumerationCapError, Event,
                           ProductSpace, SamplePoint, _Kahan)
@@ -82,7 +83,8 @@ def all_subsets(ground: Sequence[str]) -> list[Subset]:
 
 def _bits(x: int) -> list[int]:
     """Positions of the set bits of x, lowest first."""
-    return [k for k in range(x.bit_length()) if x >> k & 1]
+    # one pass over the binary digits, not one shift of x per position
+    return [k for k, digit in enumerate(bin(x)[:1:-1]) if digit == "1"]
 
 
 class _Lattice:
@@ -97,6 +99,7 @@ class _Lattice:
         size = 1 << len(self.ground)
         if size > cap:
             raise EnumerationCapError(f"{size} subsets exceed cap {cap}")
+        self.full = (1 << size) - 1
         # with_elem[k], the family of the subsets holding ground[k]: 2^k
         # clear bits then 2^k set bits, doubled up to all 2^n masks
         self.with_elem = []
@@ -115,6 +118,16 @@ class _Lattice:
 
     def names(self, mask: int) -> list[str]:
         return [self.ground[k] for k in _bits(mask)]
+
+    def holding(self, subset: Subset) -> int:
+        """The family of the subsets holding `subset`, empty when it
+        leaves the ground set."""
+        if not subset <= self.index.keys():
+            return 0
+        bits = self.full
+        for elem in subset:
+            bits &= self.with_elem[self.index[elem]]
+        return bits
 
     def first(self, family: int) -> int:
         """Mask of the first member of a nonempty family in all_subsets
@@ -175,33 +188,17 @@ class FamilyValidation:
     reason: str
 
 
-def validate_family_instance(inst: FamilyInstance, *,
-                             cap: int = ENUM_CAP) -> FamilyValidation:
-    """Check, on every positive-probability outcome: the family is nonempty
-    and downward-closed, and every boundary element has a true event.
+def _family_reader(inst: FamilyInstance,
+                   lattice: _Lattice) -> Callable[[SamplePoint], int]:
+    """Reads an outcome's family, cut down to the subsets of the
+    lattice's ground set, as a bitset.
 
-    With blockers, an outcome's family is every subset but those holding
-    one of its blockers, a few bitset operations per blocker; otherwise
+    With blockers it is every subset but those holding one of the
+    outcome's blockers, a few bitset operations per blocker; otherwise
     `member` is asked about each subset."""
-    inst.space.check_cap(cap)
-    lattice = _Lattice(inst.ground, cap)
-    if inst.blockers is not None:
-        full = (1 << (1 << len(inst.ground))) - 1
-        up: dict[Subset, int] = {}      # blocker -> the subsets holding it
-
-        def family_at(point: SamplePoint) -> int:
-            blocked = 0
-            for b in inst.blockers(point):
-                bits = up.get(b)
-                if bits is None:
-                    bits = full
-                    for k in _bits(lattice.mask(b)):
-                        bits &= lattice.with_elem[k]
-                    up[b] = bits
-                blocked |= bits
-            return full & ~blocked
-    else:
-        subsets = [(s, 1 << lattice.mask(s)) for s in all_subsets(inst.ground)]
+    if inst.blockers is None:
+        subsets = [(s, 1 << lattice.mask(s))
+                   for s in all_subsets(lattice.ground)]
 
         def family_at(point: SamplePoint) -> int:
             family = 0
@@ -210,6 +207,28 @@ def validate_family_instance(inst: FamilyInstance, *,
                     family |= bit
             return family
 
+        return family_at
+    up: dict[Subset, int] = {}          # blocker -> the subsets holding it
+
+    def family_at(point: SamplePoint) -> int:
+        blocked = 0
+        for b in inst.blockers(point):
+            bits = up.get(b)
+            if bits is None:
+                bits = up[b] = lattice.holding(b)
+            blocked |= bits
+        return lattice.full & ~blocked
+
+    return family_at
+
+
+def validate_family_instance(inst: FamilyInstance, *,
+                             cap: int = ENUM_CAP) -> FamilyValidation:
+    """Check, on every positive-probability outcome: the family is nonempty
+    and downward-closed, and every boundary element has a true event."""
+    inst.space.check_cap(cap)
+    lattice = _Lattice(inst.ground, cap)
+    family_at = _family_reader(inst, lattice)
     for point, prob in inst.space.outcomes(cap):
         if prob <= 0.0:
             continue
@@ -258,7 +277,7 @@ def check_tau_condition(ground: Sequence[str], terms: Terms,
     updated = apply_tau_operator(ground, terms, tau)
     margins = {elem: tau[elem] - updated[elem] for elem in ground}
     feasible = all(m >= -tol for m in margins.values())
-    return WeightReport(dict(tau), margins, feasible, 0)
+    return WeightReport(dict(tau), margins, feasible)
 
 
 def witness_bound(inst: FamilyInstance, event: Event, witness: Subset,
@@ -282,22 +301,23 @@ def _worst_conditional(inst: FamilyInstance, event: Event, witness: Subset,
     if len(outside) > outside_cap:
         raise ValueError(f"{len(outside)} outside elements exceed cap "
                          f"{outside_cap}")
-    zs = all_subsets(outside)
-    base = [_Kahan() for _ in zs]
-    joint = [_Kahan() for _ in zs]
+    lattice = _Lattice(outside)
+    family_at = _family_reader(inst, lattice)
+    # per Z, by mask: the mass of the outcomes where Z is a member
+    base = [_Kahan() for _ in range(1 << len(outside))]
+    joint = [_Kahan() for _ in base]
     for point, prob in inst.space.outcomes(cap):
         if prob <= 0.0:
             continue
         happened = event(point)
-        for idx, z in enumerate(zs):
-            if inst.member(point, z):
-                base[idx].add(prob)
-                if happened:
-                    joint[idx].add(prob)
+        for m in _bits(family_at(point)):
+            base[m].add(prob)
+            if happened:
+                joint[m].add(prob)
     worst = 0.0
-    for idx in range(len(zs)):
-        if base[idx].total > 0.0:
-            worst = max(worst, joint[idx].total / base[idx].total)
+    for b, j in zip(base, joint):
+        if b.total > 0.0:
+            worst = max(worst, j.total / b.total)
     return worst
 
 
@@ -413,17 +433,9 @@ def hypercube_digraph(inst: FamilyInstance,
 
 # ----------------------------------------------------- least tau solutions
 
-@dataclass(frozen=True)
-class TauSolveResult:
-    status: str                    # "converged" or "diverged"
-    tau: dict[str, float] | None
-    iterations: int
-    min_step: float
-
-
 def least_tau_solution(ground: Sequence[str], terms: Terms,
                        tol: float = TOL, iter_cap: int = ITER_CAP,
-                       value_cap: float = VALUE_CAP) -> TauSolveResult:
+                       value_cap: float = VALUE_CAP) -> FixedPointResult:
     """Least tau with tau(i) = 1 + sum of p * tau(witness) per element.
 
     terms[i] lists (probability bound, witness set) pairs; each witness
@@ -439,10 +451,8 @@ def least_tau_solution(ground: Sequence[str], terms: Terms,
             if p < 0.0:
                 raise ValueError("negative probability bound")
 
-    status, tau, iterations, _, min_step = kleene(
-        lambda tau: apply_tau_operator(ground, terms, tau),
-        dict.fromkeys(ground, 0.0), tol, iter_cap, value_cap)
-    return TauSolveResult(status, tau, iterations, min_step)
+    return kleene(lambda tau: apply_tau_operator(ground, terms, tau),
+                  dict.fromkeys(ground, 0.0), tol, iter_cap, value_cap)
 
 
 # ------------------------------------------- proper-coloring family builder

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .engine import ITER_CAP, TOL, kleene
+from .engine import ITER_CAP, TOL, FixedPointResult, kleene
 
 
 class LllError(ValueError):
@@ -123,20 +123,16 @@ def mu_to_tau(inst: LllInstance, tol: float = TOL,
     return MuTauResult(tau, margins, identity)
 
 
-@dataclass(frozen=True)
-class AutoMuResult:
-    status: str                   # "converged" or "infeasible"
-    mu: dict[int, float] | None
-    iterations: int
-
-
 def auto_mu(probs: Mapping[int, float], gamma: Mapping[int, frozenset[int]],
-            tol: float = TOL, iter_cap: int = ITER_CAP) -> AutoMuResult:
+            tol: float = TOL, iter_cap: int = ITER_CAP) -> FixedPointResult:
     """Search for feasible levels by iterating mu_i = p_i / prod(1 - mu_j).
 
     Started at mu = p the chain increases and stays below any feasible
-    level vector, so reaching 1 proves infeasibility.  Convergence yields
-    levels satisfying the lopsided condition with equality.
+    level vector, so reaching 1 proves infeasibility ("diverged").
+    Converged levels are the chain's last iterate, just below the fixed
+    point, so they miss the condition by a little: margin i is
+    prod(1 - mu_j) times minus the step one more iteration would take.
+    check_lopsided at a tolerance judges them.
     """
     idx = sorted(probs)
     for i in idx:
@@ -151,8 +147,5 @@ def auto_mu(probs: Mapping[int, float], gamma: Mapping[int, frozenset[int]],
         return nxt
 
     # the largest float below 1 as the cap: an entry >= 1 is infeasible
-    _, mu, iterations, _, _ = kleene(
-        operator, {i: probs[i] for i in idx}, tol, iter_cap,
-        math.nextafter(1.0, 0.0))
-    return AutoMuResult("infeasible" if mu is None else "converged", mu,
-                        iterations)
+    return kleene(operator, {i: probs[i] for i in idx}, tol, iter_cap,
+                  math.nextafter(1.0, 0.0))

@@ -64,7 +64,7 @@ def solved_corpus():
             res = None
         bounds = None
         if res is not None and res.status == "converged" \
-                and res.report.feasible:
+                and check_weight_condition(cut, res.weights).feasible:
             bounds = probability_bounds(cut, res.weights, tol=1e-9)
         rows.append(Solved(ci.name, cut, res, bounds))
     return rows, time.perf_counter() - start

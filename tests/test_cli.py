@@ -104,6 +104,8 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
 FAMILY = {"ground": ["a", "b"],
           "events": [{"element": "a", "p": 0.125, "witness": ["a"]}]}
 
+LLL = {"n": 2, "gamma": [[2], [1]], "p": [0.125, 0.125], "mu": [0.25, 0.25]}
+
 
 @pytest.mark.parametrize("subcommand, weights", [
     ("check-family", [1, 2]),
@@ -129,14 +131,16 @@ def test_malformed_or_non_finite_weights_exit_2(subcommand, weights,
 def test_unconverged_solve_weights_exit_3(tmp_path, capsys, monkeypatch):
     # solvers that stop while one more application still moves the
     # weights by more than --tol: the check, not the solver, decides
-    from localcut import families
-    solve_arcs, solve_tau = engine.least_weight_solution, \
-        families.least_tau_solution
+    from localcut import families, lll
+    solve_arcs, solve_tau, solve_mu = engine.least_weight_solution, \
+        families.least_tau_solution, lll.auto_mu
     monkeypatch.setattr(engine, "least_weight_solution",
                         lambda inst, tol, cap: solve_arcs(inst, 1e-3, cap))
     monkeypatch.setattr(families, "least_tau_solution",
                         lambda ground, terms, tol, cap:
                         solve_tau(ground, terms, 1e-3, cap))
+    monkeypatch.setattr(lll, "auto_mu", lambda probs, gamma, tol, cap:
+                        solve_mu(probs, gamma, 1e-3, cap))
     for subcommand, payload in (("check-lcl", SINGLE_ARC),
                                 ("check-family", FAMILY)):
         path = write(tmp_path, "inst.json", payload)
@@ -145,6 +149,14 @@ def test_unconverged_solve_weights_exit_3(tmp_path, capsys, monkeypatch):
         assert code == 3 and report["mode"] == "solve"
         assert not report["feasible"]
         assert min(report["margins"].values()) < -1e-12
+
+    path = write(tmp_path, "lll.json", LLL)
+    code, out, _ = run(["check-lll", path, "--auto-mu"], capsys)
+    report = json.loads(out)
+    assert code == 3 and report["mode"] == "auto-mu"
+    assert not report["feasible"] and len(report["mu"]) == 2
+    levels = lll.instance_from_json({**LLL, "mu": report["mu"]})
+    assert min(lll.check_lopsided(levels).margins.values()) < -1e-12
 
 
 def test_risks_in_the_negative_slack_read_as_zero(tmp_path, capsys):
@@ -208,9 +220,7 @@ def test_check_family_report_ignores_the_hash_seed(tmp_path):
 # -------------------------------------------------------------- check-lll
 
 def test_check_lll_exit_codes_and_translation(tmp_path, capsys):
-    feasible = write(tmp_path, "ok.json",
-                     {"n": 2, "gamma": [[2], [1]],
-                      "p": [0.125, 0.125], "mu": [0.25, 0.25]})
+    feasible = write(tmp_path, "ok.json", LLL)
     code, out, _ = run(["check-lll", feasible], capsys)
     report = json.loads(out)
     assert code == 0 and report["feasible"]
@@ -229,6 +239,12 @@ def test_check_lll_exit_codes_and_translation(tmp_path, capsys):
     assert code == 0
     want = (1.0 - math.sqrt(0.5)) / 2.0
     assert report["mu"] == pytest.approx([want, want], abs=1e-6)
+
+    # levels reaching 1 prove the probabilities infeasible
+    hopeless = write(tmp_path, "hopeless.json", {**LLL, "p": [0.3, 0.3]})
+    code, out, _ = run(["check-lll", hopeless, "--auto-mu"], capsys)
+    report = json.loads(out)
+    assert code == 1 and not report["feasible"] and report["mu"] is None
 
 
 def test_check_lll_runs_the_lopsided_check_once(tmp_path, capsys,

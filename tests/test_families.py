@@ -217,7 +217,7 @@ def test_least_tau_tangent_case_converges_loosely():
     res = least_tau_solution(("a", "b", "c"), triangle_terms(), tol=1e-6)
     assert res.status == "converged"
     for i in ("a", "b", "c"):
-        assert res.tau[i] == pytest.approx(2.0, abs=0.01)
+        assert res.weights[i] == pytest.approx(2.0, abs=0.01)
     assert res.min_step >= 0.0
 
 
@@ -227,14 +227,14 @@ def test_least_tau_contractive_case_is_tight():
     res = least_tau_solution(("a", "b"), terms)
     want = 4.0 - 2.0 * 2.0 ** 0.5
     assert res.status == "converged"
-    assert res.tau["a"] == pytest.approx(want, abs=1e-9)
+    assert res.weights["a"] == pytest.approx(want, abs=1e-9)
 
 
 def test_least_tau_divergence_and_caps():
     terms = {"a": [(1.0, frozenset({"a", "b"}))],
              "b": [(1.0, frozenset({"a", "b"}))]}
     res = least_tau_solution(("a", "b"), terms)
-    assert res.status == "diverged" and res.tau is None
+    assert res.status == "diverged" and res.weights is None
     with pytest.raises(IndeterminateError):
         least_tau_solution(("a", "b", "c"), triangle_terms(), tol=1e-6,
                            iter_cap=10)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from localcut.engine import IndeterminateError
-from localcut.lll import (AutoMuResult, LllError, LllInstance, auto_mu,
-                          check_lopsided, instance_from_json, mu_to_tau)
+from localcut.lll import (LllError, LllInstance, auto_mu, check_lopsided,
+                          instance_from_json, mu_to_tau)
 
 
 def symmetric_pair(p, mu):
@@ -75,10 +75,10 @@ def test_auto_mu_fixed_point_value():
     assert res.status == "converged"
     want = (1.0 - math.sqrt(0.5)) / 2.0   # mu(1 - mu) = 1/8, lower root
     for i in (1, 2):
-        assert res.mu[i] == pytest.approx(want, abs=1e-10)
-    # the fixed point meets the lopsided condition with equality
+        assert res.weights[i] == pytest.approx(want, abs=1e-10)
+    # the levels meet the lopsided condition with equality, up to 1e-9
     inst = LllInstance.build(2, gamma, {1: 0.125, 2: 0.125},
-                             {i: res.mu[i] for i in (1, 2)})
+                             {i: res.weights[i] for i in (1, 2)})
     rep = check_lopsided(inst, tol=1e-9)
     assert rep.feasible
     for m in rep.margins.values():
@@ -88,7 +88,7 @@ def test_auto_mu_fixed_point_value():
 def test_auto_mu_detects_infeasibility():
     gamma = {1: frozenset({2}), 2: frozenset({1})}
     res = auto_mu({1: 0.3, 2: 0.3}, gamma)
-    assert res.status == "infeasible" and res.mu is None
+    assert res.status == "diverged" and res.weights is None
 
 
 def test_auto_mu_validation_and_cap():

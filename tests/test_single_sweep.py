@@ -22,7 +22,8 @@ from localcut.cli import main
 from localcut.digraph import MultiDigraph, head_reach, underlying_simple
 from localcut.engine import build_nonrep_instance
 from localcut.families import (FamilyInstance, all_subsets, boundary,
-                               family_of, hypergraph_coloring_family,
+                               check_family_condition, family_of,
+                               hypergraph_coloring_family, tau_of_set,
                                validate_family_instance)
 from localcut.instances import Hypergraph
 from localcut.probability import (CutModel, EnumerationCapError, ModelCheck,
@@ -335,9 +336,43 @@ def test_family_validation_matches_frozenset_reference():
     assert "no true event" in assert_validation_matches(holes).reason
 
 
+def reference_worst_conditional(inst, event, witness):
+    """Max over Z outside the witness of Pr(event | Z is a member), by
+    asking `member` about Z on every outcome, one pass per Z."""
+    worst = 0.0
+    for z in all_subsets([i for i in inst.ground if i not in witness]):
+        base, joint = _Kahan(), _Kahan()
+        for point, prob in inst.space.outcomes():
+            if prob > 0.0 and inst.member(point, z):
+                base.add(prob)
+                if event(point):
+                    joint.add(prob)
+        if base.total > 0.0:
+            worst = max(worst, joint.total / base.total)
+    return worst
+
+
+def assert_conditionals_match(inst, witnesses):
+    tau = {v: 1.5 for v in inst.ground}
+    got = check_family_condition(inst, tau, witnesses)
+    plain = check_family_condition(
+        dataclasses.replace(inst, blockers=None), tau, witnesses)
+    assert (got.sigma, got.margins) == (plain.sigma, plain.margins)
+    for elem, bundle in inst.events.items():
+        for label, event in bundle:
+            w = witnesses[(elem, label)]
+            assert got.sigma[(elem, label)] == tau_of_set(tau, w) * \
+                reference_worst_conditional(inst, event, w)
+
+
+def colors_differ(u, v):
+    return lambda point: point[f"c_{u}"] != point[f"c_{v}"]
+
+
 def test_blocker_path_matches_member_path():
-    # validation from an outcome's monochromatic edges must give what
-    # asking `member` about every subset gives, failures included
+    # validation and worst conditionals from an outcome's monochromatic
+    # edges must give what asking `member` about every subset gives,
+    # failures included
     rng = random.Random(21)
     failed = 0
     for trial in range(40):
@@ -349,9 +384,17 @@ def test_blocker_path_matches_member_path():
                  for _ in range(rng.randint(1, 4))]
         if trial % 4 == 0:
             edges.append([rng.choice(vertices)])
-        fam, _ = hypergraph_coloring_family(
+        fam, witnesses = hypergraph_coloring_family(
             Hypergraph.build(vertices, edges), colors=2 + trial % 2)
         assert fam.blockers is not None
+        assert_conditionals_match(fam, witnesses)
+        if n > 1:
+            # events that favour some members, so the worst Z moves
+            pairs = {key: rng.sample(vertices, 2) for key in witnesses}
+            assert_conditionals_match(dataclasses.replace(fam, events={
+                elem: tuple((label, colors_differ(*pairs[(elem, label)]))
+                            for label, _ in bundle)
+                for elem, bundle in fam.events.items()}), witnesses)
         elem = rng.choice(sorted({v for e in edges for v in e}))
         broken = dataclasses.replace(fam, events={**fam.events, elem: ()})
         for inst in (fam, broken):
