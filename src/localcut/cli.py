@@ -252,7 +252,8 @@ def _run_check_family(args):
 def _run_check_lll(args):
     from . import lll
 
-    inst = lll.instance_from_json(_load_json(args.instance))
+    inst = lll.instance_from_json(_load_json(args.instance),
+                                  levels=not args.auto_mu)
     tol = _setting(args, "tol", "TOL", float, TOL)
     if args.auto_mu:
         cap = _setting(args, "cap", "CAP", int, ITER_CAP)

@@ -55,14 +55,15 @@ class LllInstance:
                            {i: float(mu[i]) for i in idx})
 
 
-def instance_from_json(obj: dict) -> LllInstance:
+def instance_from_json(obj: dict, levels: bool = True) -> LllInstance:
     """Parse {"n", "gamma": [[...]...], "p": [...], "mu": [...]} with
-    1-based neighbor indices."""
+    1-based neighbor indices.  With `levels` false, "mu" is not read and
+    every level is 0, for callers that search for the levels."""
     try:
         n = int(obj["n"])
         gamma_rows = obj["gamma"]
         probs = [float(x) for x in obj["p"]]
-        mu = [float(x) for x in obj["mu"]]
+        mu = [float(x) for x in obj["mu"]] if levels else [0.0] * n
     except (KeyError, TypeError, ValueError) as exc:
         raise LllError(f"bad instance object: {exc}") from exc
     if not (len(gamma_rows) == len(probs) == len(mu) == n):

@@ -252,21 +252,73 @@ class NonrepCheck:
 
 
 def is_nonrepetitive(sequence: Sequence[Hashable]) -> NonrepCheck:
-    """Looks for indices s, t with the t-blocks at s and s+t equal,
-    scanning block lengths ascending and start positions ascending."""
+    """Looks for indices s, t with the t-blocks at s and s+t equal; the
+    witness has the least t, then the least s.
+
+    A doubled block of half length t covers t consecutive positions i
+    with w[i] == w[i+t], and those contain exactly one multiple j of t
+    (Main & Lorentz 1984; Crochemore 1981).  So only the anchors (t, j)
+    with j + t < n are tried: the run of agreeing positions is extended
+    forward from j, up to t, and backward from j - 1, up to t - 1, and
+    the anchor holds a block iff the two runs sum to t or more.  Its
+    least start is then j minus the backward run, and since anchors of
+    one t lie t apart, the first hit in (t, j) order has the least start.
+
+    Half lengths go in bands [2^i, 2^(i+1)), shortest first, and the
+    first band with a hit gives the witness.  That is O(n log n) anchors
+    in all, and each band costs O(log n) numpy calls: the runs grow in
+    gathers whose width doubles each round."""
     n = len(sequence)
     table: dict[Hashable, int] = {}
     _symbol_codes(sequence, table)
-    # int32 holds every code and count for n < 2**31, and halves the
-    # memory traffic of the n/2 passes against int64
+    # int32 holds every code, index and count for n < 2**31
     codes = np.array([table[s] for s in sequence], dtype=np.int32)
-    sums = np.zeros(n + 1, dtype=np.int32)   # sums[i]: agreements before i
-    for t in range(1, n // 2 + 1):
-        np.cumsum(codes[t:] == codes[:-t], out=sums[1:n - t + 1])
-        starts = np.flatnonzero(sums[t:n - t + 1] - sums[:n - 2 * t + 1] == t)
-        if starts.size:
-            return NonrepCheck(False, (int(starts[0]) + 1, t))
+    half, lo = n // 2, 1
+    while lo <= half:
+        t = np.arange(lo, min(2 * lo, half + 1), dtype=np.int32)
+        counts = (n - 1) // t   # the multiples j of t with j + t < n
+        ts = np.repeat(t, counts)
+        js = np.arange(ts.size, dtype=np.int32)
+        js -= np.repeat(np.cumsum(counts, dtype=np.int32) - counts, counts)
+        js *= ts
+        # an anchor that disagrees itself has no forward run, and the
+        # backward run alone stops short of t
+        keep = np.flatnonzero(codes[js] == codes[js + ts])
+        ts, js = ts[keep], js[keep]
+        forward = _agreeing_run(codes, js, ts, np.minimum(ts, n - ts - js), 1)
+        back = _agreeing_run(codes, js - 1, ts, np.minimum(ts - 1, js), -1)
+        hit = np.flatnonzero(forward + back >= ts)
+        if hit.size:
+            a = hit[0]
+            return NonrepCheck(False, (int(js[a] - back[a]) + 1, int(ts[a])))
+        lo *= 2
     return NonrepCheck(True, None)
+
+
+def _agreeing_run(codes: np.ndarray, first: np.ndarray, shift: np.ndarray,
+                  cap: np.ndarray, step: int) -> np.ndarray:
+    """For each row, how many of the positions first, first + step, ...
+    (at most cap of them) agree with the code `shift` further on, up to
+    the first that does not.  Each round gathers the next `width`
+    positions of every unfinished row, and the width doubles."""
+    run = np.zeros(first.size, dtype=np.int32)
+    live = np.flatnonzero(cap)
+    width = 1
+    while live.size:
+        left = cap[live] - run[live]
+        # offsets past a row's cap repeat its last position, so they
+        # agree exactly when that position does
+        offsets = np.minimum(np.arange(width, dtype=np.int32),
+                             (left - 1)[:, None])
+        pos = (first[live] + step * run[live])[:, None] + step * offsets
+        differ = codes[pos] != codes[pos + shift[live][:, None]]
+        lead = differ.argmax(axis=1)
+        full = (lead == 0) & ~differ[:, 0]
+        lead[full] = width
+        run[live] += np.minimum(lead, left)
+        live = live[full & (left > width)]
+        width *= 2
+    return run
 
 
 # ------------------------------------------------ acyclic edge coloring

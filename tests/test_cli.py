@@ -247,6 +247,20 @@ def test_check_lll_exit_codes_and_translation(tmp_path, capsys):
     assert code == 1 and not report["feasible"] and report["mu"] is None
 
 
+def test_check_lll_auto_mu_reads_no_levels(tmp_path, capsys):
+    events = {"n": 2, "gamma": [[2], [1]], "p": [0.125, 0.125]}
+    bare = write(tmp_path, "bare.json", events)
+    code, out, _ = run(["check-lll", bare, "--auto-mu"], capsys)
+    assert code == 0 and json.loads(out)["feasible"]
+    for mu in ([0.25, 0.25], [0.0, 0.9]):
+        given = write(tmp_path, "given.json", {**events, "mu": mu})
+        assert run(["check-lll", given, "--auto-mu"], capsys)[:2] == (0, out)
+
+    # the check itself still needs the levels, and says so
+    code, out, err = run(["check-lll", bare], capsys)
+    assert code == 2 and out == "" and "mu" in err
+
+
 def test_check_lll_runs_the_lopsided_check_once(tmp_path, capsys,
                                                monkeypatch):
     from localcut import lll

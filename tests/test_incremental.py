@@ -5,23 +5,30 @@ The oracles below are the earlier implementations, kept verbatim: a
 2-coloring that rescans every edge after each resample, a peel that
 recomputes every live charge at every step, a cycle search that scans the
 whole color index, a verifier that scans every edge for each color pair,
-and a graph generator that shuffles frozensets.  The new code must agree
-with them exactly: same RNG stream, same outputs, same floats.
+a graph generator that shuffles frozensets, and a square check that
+compares the whole word with each shifted copy of itself.  The new code
+must agree with them exactly: same RNG stream, same outputs, same floats.
 """
 
+import functools
 import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localcut import samplers
-from localcut.instances import Graph, Hypergraph, random_graph_max_degree
-from localcut.samplers import (RESAMPLE_CAP, AcyclicCheck, SamplerReport,
+from localcut.instances import (Graph, Hypergraph, ListAssignment,
+                                random_graph_max_degree)
+from localcut.samplers import (RESAMPLE_CAP, AcyclicCheck, NonrepCheck,
+                               SamplerReport, _symbol_codes,
                                greedy_acyclic_edge_coloring,
-                               is_acyclic_edge_coloring,
-                               moser_tardos_two_coloring)
+                               is_acyclic_edge_coloring, is_nonrepetitive,
+                               moser_tardos_two_coloring,
+                               nonrep_sequence_build)
 from localcut.thresholds import (DegreeProfile, PeelResult, g_weight,
                                  greedy_peel)
 
@@ -177,6 +184,20 @@ def old_random_graph_max_degree(n, max_degree, target_edges, seed):
     return Graph.build(vertices, sorted(sorted(p) for p in chosen))
 
 
+def old_is_nonrepetitive(sequence):
+    n = len(sequence)
+    table = {}
+    _symbol_codes(sequence, table)
+    codes = np.array([table[s] for s in sequence], dtype=np.int32)
+    sums = np.zeros(n + 1, dtype=np.int32)   # sums[i]: agreements before i
+    for t in range(1, n // 2 + 1):
+        np.cumsum(codes[t:] == codes[:-t], out=sums[1:n - t + 1])
+        starts = np.flatnonzero(sums[t:n - t + 1] - sums[:n - 2 * t + 1] == t)
+        if starts.size:
+            return NonrepCheck(False, (int(starts[0]) + 1, t))
+    return NonrepCheck(True, None)
+
+
 # ---------------------------------------------------------- instances
 
 def random_hypergraph(rng, sizes):
@@ -324,3 +345,92 @@ def test_graph_generator_matches_the_frozenset_shuffle():
         new = random_graph_max_degree(n, delta, target, seed)
         old = old_random_graph_max_degree(n, delta, target, seed)
         assert (new.vertices, new.edges) == (old.vertices, old.edges)
+
+
+# ------------------------------------------------------ square check
+
+def assert_same_square(word):
+    check = is_nonrepetitive(word)
+    assert check == old_is_nonrepetitive(word)
+    return check
+
+
+@functools.cache
+def builder_word(size, n):
+    word, report = nonrep_sequence_build(ListAssignment.uniform(n, size), n)
+    assert report.success
+    return word
+
+
+def copied(word, start, t):
+    """The word with its t symbols from `start` copied over the next t."""
+    word = list(word)
+    word[start + t:start + 2 * t] = word[start:start + t]
+    return word
+
+
+def inserted(word, start, t):
+    """The word with a doubled block of t fresh, distinct symbols inserted
+    at `start`.  Each fresh symbol occurs twice, t apart, so a square
+    holding one is that block; in a square-free word it is the only one."""
+    block = [("fresh", i) for i in range(t)]
+    return [*word[:start], *block, *block, *word[start:]]
+
+
+def zimin(k):
+    word = [0]
+    for letter in range(1, k):
+        word = word + [letter] + word
+    return word
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_square_check_matches_on_builder_output(size):
+    for n in (2, 3, 40, 700, 5000):
+        assert assert_same_square(builder_word(size, n)).ok
+
+
+# half lengths at the band edges 2^i - 1 and 2^i
+HALVES = (1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 255, 256, 1023,
+          1024)
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_square_check_finds_planted_squares(size):
+    word = builder_word(size, 5000)
+    n = len(word)
+    for t in HALVES:
+        # starts on and off the multiples of t, at both ends and mid-word
+        for start in (0, 1, t - 1, t, t + 1, n // 2 - 1, n - 1, n):
+            check = assert_same_square(inserted(word, start, t))
+            assert check.witness == (start + 1, t)
+    for t in (1, 2, 3, 2500):     # the whole word is the square
+        assert assert_same_square(inserted([], 0, t)).witness == (1, t)
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_square_check_matches_on_copied_blocks(size):
+    # copies leave shorter squares at their seams, found as the oracle does
+    word = builder_word(size, 5000)
+    n = len(word)
+    for t in (*HALVES, n // 2 - 1, n // 2):
+        last = n - 2 * t
+        for start in {0, min(1, last), last // 2, max(last - 1, 0), last}:
+            assert not assert_same_square(copied(word, start, t)).ok
+
+
+def test_square_check_matches_on_structured_words():
+    words = [zimin(k) for k in range(1, 13)]
+    words += [[0] * n for n in (1, 2, 3, 8, 1000)]
+    for period in ([0, 1], [0, 1, 2], [2, 0, 1, 0, 2, 1], zimin(5)):
+        words += [(period * (600 // len(period) + 2))[:cut]
+                  for cut in (len(period) * 2 - 1, len(period) * 2, 599)]
+    outcomes = {assert_same_square(word).ok for word in words}
+    assert outcomes == {True, False}
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.integers(1, 3).flatmap(
+    lambda k: st.lists(st.integers(0, k - 1), max_size=40)))
+def test_square_check_matches_on_short_words(word):
+    assert_same_square(word)

@@ -139,8 +139,10 @@ def naive_nonrep_build(lists, seed, cap):
         symbols = lists.lists[len(buf)]
         buf.append(symbols[int(rng.integers(0, len(symbols)))])
         draws += 1
-        for t in range(1, len(buf) // 2 + 1):
-            if buf[-2 * t:-t] == buf[-t:]:
+        m = len(buf)
+        for t in range(1, m // 2 + 1):
+            # the halves' last symbols first: most t fail there, unsliced
+            if buf[m - 1 - t] == buf[-1] and buf[-2 * t:-t] == buf[-t:]:
                 del buf[-t:]
                 break
     return tuple(buf), draws, ""
