@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,11 +30,12 @@ class ChoiceError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ChoiceInstance:
+class _ChoiceInstanceFields(NamedTuple):
     universes: tuple[tuple[str, ...], ...]
     forbidden: tuple[frozenset[str], ...]
 
+
+class ChoiceInstance(_ChoiceInstanceFields):
     @staticmethod
     def build(universes: Iterable[Iterable[str]],
               forbidden: Iterable[Iterable[str]]) -> "ChoiceInstance":
@@ -161,8 +161,7 @@ def extract_choice(inst: ChoiceInstance,
 
 # ------------------------------------------------------ marginal weights
 
-@dataclass(frozen=True)
-class MarginalWeights:
+class MarginalWeights(NamedTuple):
     """Inclusion marginals p(x) = Pr(x in M) with per-universe totals."""
 
     p: dict[str, float]
@@ -190,8 +189,7 @@ class MarginalWeights:
         return MarginalWeights(table, totals)
 
 
-@dataclass(frozen=True)
-class ExpectationReport:
+class ExpectationReport(NamedTuple):
     feasible: bool
     sum_margins: tuple[float, ...]       # direct per-universe form
     tau_margins: tuple[float, ...]       # normalized form, same numbers
@@ -238,8 +236,7 @@ def check_expectation_condition(inst: ChoiceInstance,
 
 # ------------------------------------------------------ randomized search
 
-@dataclass(frozen=True)
-class ChoiceSearchResult:
+class ChoiceSearchResult(NamedTuple):
     status: str                          # "found" or "cap-exhausted"
     choice: tuple[str, ...] | None
     resamples: int

@@ -20,13 +20,11 @@ before built-in defaults.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Mapping, Sequence
 
@@ -45,6 +43,18 @@ EXIT_INDETERMINATE = 3
 EXIT_INTERNAL = 4
 
 _ENV_PREFIX = "LOCALCUT_"
+
+
+def __getattr__(name: str):
+    """`ProcessPoolExecutor` loads multiprocessing, so it is imported on
+    first use (PEP 562), by `sample --jobs` only, and then kept here,
+    where a caller may replace it."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 # ------------------------------------------------------- report emission
@@ -72,7 +82,8 @@ def _canonical(value) -> str:
         parts = [f"{json.dumps(str(k))}:{_canonical(value[k])}"
                  for k in sorted(value, key=str)]
         return "{" + ",".join(parts) + "}"
-    if isinstance(value, (list, tuple)):
+    # a record (a NamedTuple) has no report form: a handler names its fields
+    if isinstance(value, (list, tuple)) and not hasattr(value, "_fields"):
         return "[" + ",".join(_canonical(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -93,6 +104,8 @@ def emit_report(report: Mapping, rows: Sequence[Mapping], fmt: str,
     if fmt == "json":
         text = _canonical(report) + "\n"
     else:
+        import csv
+
         buffer = io.StringIO()
         if rows:
             writer = csv.writer(buffer, lineterminator="\n")
@@ -475,7 +488,9 @@ def _run_sample(args):
                  "resamples": rep.steps}]
     elif jobs > 1:
         worker = partial(_sample_once, draw, payload, cap)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        pool_type = (globals().get("ProcessPoolExecutor")
+                     or __getattr__("ProcessPoolExecutor"))
+        with pool_type(max_workers=jobs) as pool:
             # one chunk per worker: the payload is pickled once per
             # worker, not once per seed
             rows = list(pool.map(worker, seeds, chunksize=-(-runs // jobs)))

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 Arc = tuple[str, str]
 
@@ -25,18 +24,18 @@ class NotOutClosedError(DigraphError):
     """A cut query was made against a vertex set that is not out-closed."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     tail: str
     head: str
 
 
-@dataclass(frozen=True)
-class MultiDigraph:
+class _MultiDigraphFields(NamedTuple):
     vertices: frozenset[str]
     edges: tuple[Edge, ...]
 
+
+class MultiDigraph(_MultiDigraphFields):
     @staticmethod
     def build(vertices: Iterable[str],
               edges: Iterable[tuple[str, str, str]]) -> "MultiDigraph":
@@ -73,11 +72,12 @@ class MultiDigraph:
         return self.edges_by_arc.get((tail, head), ())
 
 
-@dataclass(frozen=True)
-class SimpleDigraph:
+class _SimpleDigraphFields(NamedTuple):
     vertices: frozenset[str]
     arcs: frozenset[Arc]
 
+
+class SimpleDigraph(_SimpleDigraphFields):
     @cached_property
     def out_neighbors(self) -> dict[str, tuple[str, ...]]:
         acc: dict[str, list[str]] = {v: [] for v in self.vertices}

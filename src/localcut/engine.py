@@ -17,7 +17,6 @@ the zero function (whose image is defined to be the all-ones function).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -89,18 +88,19 @@ def kleene(operator: Callable[[dict], dict], start: Mapping,
 EdgeRow = tuple[tuple[tuple[str, float], ...], bool]
 
 
-@dataclass(frozen=True)
-class CutInstance:
-    """A digraph with its risk table.  The weight-independent parts of
-    the operator (projection, reachability, risk rows) are built on first
-    use and kept.  model_check is the model's validation when the sweep
-    that computed the risks made it."""
-
+class _CutInstanceFields(NamedTuple):
     graph: MultiDigraph
     risks: RiskTable
     space: ProductSpace | None = None
     model: CutModel | None = None
     model_check: ModelCheck | None = None
+
+
+class CutInstance(_CutInstanceFields):
+    """A digraph with its risk table.  The weight-independent parts of
+    the operator (projection, reachability, risk rows) are built on first
+    use and kept.  model_check is the model's validation when the sweep
+    that computed the risks made it."""
 
     @staticmethod
     def build(graph: MultiDigraph, risks: RiskTable,
@@ -218,8 +218,7 @@ def _risk_update(inst: CutInstance,
     return out
 
 
-@dataclass(frozen=True)
-class WeightReport:
+class WeightReport(NamedTuple):
     weights: dict[Arc, float]
     margins: dict[Arc, float]     # weight - 1 - summed edge risks, per arc
     feasible: bool
@@ -253,8 +252,7 @@ def least_weight_solution(inst: CutInstance, tol: float = TOL,
                   value_cap)
 
 
-@dataclass(frozen=True)
-class ArcBound:
+class ArcBound(NamedTuple):
     tail: str
     head: str
     head_prob: float
@@ -262,8 +260,7 @@ class ArcBound:
     ok: bool
 
 
-@dataclass(frozen=True)
-class PairBound:
+class PairBound(NamedTuple):
     source: str
     target: str
     lower_bound: float            # Pr(target in A) / path product
@@ -271,8 +268,7 @@ class PairBound:
     ok: bool
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     arc_rows: tuple[ArcBound, ...]
     pair_rows: tuple[PairBound, ...]
     all_ok: bool
@@ -309,8 +305,7 @@ def probability_bounds(inst: CutInstance, weights: Mapping[Arc, float],
     return BoundReport(tuple(arc_rows), tuple(pair_rows), all_ok)
 
 
-@dataclass(frozen=True)
-class TelescopingResult:
+class TelescopingResult(NamedTuple):
     ok: bool
     lhs: float
     rhs: float

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .digraph import MultiDigraph
 from .engine import (ITER_CAP, TOL, VALUE_CAP, FixedPointResult,
@@ -34,8 +33,7 @@ HYPERCUBE_MAX_GROUND = 4
 Subset = frozenset
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(NamedTuple):
     """`blockers`, when given, lists per outcome sets no member may
     contain; the family must then be exactly the subsets containing none
     of them, the sets `member` accepts."""
@@ -181,8 +179,7 @@ def boundary(family: Iterable[Subset], ground: Sequence[str]) -> frozenset[str]:
     return frozenset(lattice.names(lattice.boundary(bits)))
 
 
-@dataclass(frozen=True)
-class FamilyValidation:
+class FamilyValidation(NamedTuple):
     ok: bool
     counterexample: SamplePoint | None
     reason: str
@@ -339,8 +336,7 @@ def _check_witnesses(inst: FamilyInstance, witnesses: WitnessMap) -> None:
                                  f"leaves the ground set")
 
 
-@dataclass(frozen=True)
-class FamilyConditionReport:
+class FamilyConditionReport(NamedTuple):
     feasible: bool
     margins: dict[str, float]
     sigma: dict[tuple[str, str], float]
@@ -376,8 +372,7 @@ def subset_id(subset: Iterable[str]) -> str:
     return "{" + ",".join(sorted(subset)) + "}"
 
 
-@dataclass(frozen=True)
-class HypercubeReduction:
+class HypercubeReduction(NamedTuple):
     graph: MultiDigraph
     model: CutModel
     weights: dict[tuple[str, str], float]

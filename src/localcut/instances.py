@@ -8,20 +8,20 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class InstanceError(ValueError):
     """Malformed hypergraph, graph, or list data."""
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class _HypergraphFields(NamedTuple):
     vertices: tuple[str, ...]
     edges: tuple[frozenset[str], ...]
 
+
+class Hypergraph(_HypergraphFields):
     @staticmethod
     def build(vertices: Iterable[str],
               edges: Iterable[Iterable[str]]) -> "Hypergraph":
@@ -53,12 +53,13 @@ class Hypergraph:
         return all(len(e) >= 3 for e in self.edges)
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph."""
-
+class _GraphFields(NamedTuple):
     vertices: tuple[str, ...]
     edges: tuple[frozenset[str], ...]
+
+
+class Graph(_GraphFields):
+    """Simple undirected graph."""
 
     @staticmethod
     def build(vertices: Iterable[str],
@@ -97,8 +98,7 @@ class Graph:
         return max(len(ns) for ns in self.neighbors.values())
 
 
-@dataclass(frozen=True)
-class ListAssignment:
+class ListAssignment(NamedTuple):
     """One finite symbol list per sequence position."""
 
     lists: tuple[tuple, ...]

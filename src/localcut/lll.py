@@ -12,8 +12,7 @@ reproduces the same bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .engine import ITER_CAP, TOL, FixedPointResult, kleene
 
@@ -22,8 +21,7 @@ class LllError(ValueError):
     """Malformed instance data or out-of-range parameters."""
 
 
-@dataclass(frozen=True)
-class LllInstance:
+class LllInstance(NamedTuple):
     """Events indexed 1..n with probabilities, neighborhoods, and levels."""
 
     n: int
@@ -76,8 +74,7 @@ def instance_from_json(obj: dict, levels: bool = True) -> LllInstance:
                              {i + 1: m for i, m in enumerate(mu)})
 
 
-@dataclass(frozen=True)
-class LopsidedReport:
+class LopsidedReport(NamedTuple):
     feasible: bool
     margins: dict[int, float]     # mu_i * prod(1 - mu_j) - p_i
     bound: float                  # prod_i (1 - mu_i)
@@ -94,8 +91,7 @@ def check_lopsided(inst: LllInstance, tol: float = TOL) -> LopsidedReport:
     return LopsidedReport(feasible, margins, bound)
 
 
-@dataclass(frozen=True)
-class MuTauResult:
+class MuTauResult(NamedTuple):
     tau: dict[int, float]
     margins: dict[int, float]     # tau_i - (1 + p_i * tau(Gamma(i) + i))
     product_identity_error: float # |bound * prod tau - 1|

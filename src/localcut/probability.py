@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .digraph import MultiDigraph, head_reach, underlying_simple
 
@@ -30,15 +28,13 @@ class SpaceError(ValueError):
     """Malformed product-space data."""
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
     values: tuple
     weights: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class ProductSpace:
+class ProductSpace(NamedTuple):
     """Independent named variables, each with a finite weighted value set."""
 
     variables: tuple[Variable, ...]
@@ -95,6 +91,8 @@ class ProductSpace:
         Weights are taken at their binary-float values, so the rationals
         reproduce the float inputs exactly rather than any decimal intent.
         """
+        from fractions import Fraction      # only exact sums use rationals
+
         self.check_cap(min(cap, 1 << 16))
         names = [v.name for v in self.variables]
         pairs = [[(val, Fraction(w)) for val, w in zip(v.values, v.weights)]
@@ -143,6 +141,8 @@ def exact_prob(space: ProductSpace, event: Event, *,
     Fraction is returned.
     """
     if exact:
+        from fractions import Fraction
+
         total = Fraction(0)
         for point, prob in space.outcomes_exact(cap):
             if event(point):
@@ -159,6 +159,8 @@ def cond_prob(space: ProductSpace, event: Event, given: Event, *,
               cap: int = ENUM_CAP, exact: bool = False):
     """Pr(event | given); 0 when the condition has probability 0."""
     if exact:
+        from fractions import Fraction
+
         joint = Fraction(0)
         base = Fraction(0)
         for point, prob in space.outcomes_exact(cap):
@@ -177,8 +179,7 @@ def cond_prob(space: ProductSpace, event: Event, given: Event, *,
     return joint.total / base.total if base.total > 0.0 else 0.0
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     estimate: float
     half_width: float      # 95% normal-approximation interval half-width
     conditioned: bool      # False when no trial satisfied the condition
@@ -207,8 +208,7 @@ def estimate_cond_prob(space: ProductSpace, event: Event, given: Event,
 
 # ------------------------------------------------------------- cut models
 
-@dataclass(frozen=True)
-class CutModel:
+class CutModel(NamedTuple):
     """Measurable assignment of an out-closed vertex set and a cut.
 
     a_of maps a sample point to the random vertex set; f_of maps it to the
@@ -221,8 +221,7 @@ class CutModel:
     f_of: Callable[[SamplePoint], frozenset[str]]
 
 
-@dataclass(frozen=True)
-class ModelCheck:
+class ModelCheck(NamedTuple):
     ok: bool
     counterexample: SamplePoint | None
     reason: str
@@ -272,7 +271,6 @@ def validate_cut_model(space: ProductSpace, model: CutModel, *,
     return ModelCheck(True, None, "ok")
 
 
-@dataclass(frozen=True)
 class RiskTable:
     """Conditional edge probabilities Pr(e in F | z in A), keyed by
     (edge id, vertex id) with z reachable from the head of e.
@@ -280,7 +278,23 @@ class RiskTable:
     The table stores only the pairs its source gives.  An unlisted
     reachable pair reads as 1.0, the trivially sound value."""
 
-    entries: dict[tuple[str, str], float]
+    __slots__ = ("entries",)
+
+    # a plain class, not a NamedTuple: its own __init__ stays in its
+    # __dict__, where a wrapper can replace it
+    def __init__(self, entries: dict[tuple[str, str], float]) -> None:
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot set {name!r}: a RiskTable is read-only")
+
+    def __eq__(self, other):
+        if not isinstance(other, RiskTable):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"RiskTable(entries={self.entries!r})"
 
     def validate(self, graph: MultiDigraph,
                  reach: Mapping[str, frozenset[str]] | None = None) -> None:

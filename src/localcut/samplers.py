@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,8 +43,7 @@ class BudgetExceededError(RuntimeError):
     """Raised when an exhaustive check would overrun its step budget."""
 
 
-@dataclass(frozen=True)
-class SamplerReport:
+class SamplerReport(NamedTuple):
     success: bool
     steps: int
     seed: int
@@ -245,8 +243,7 @@ def nonrep_sequence_build(lists: ListAssignment, seed: int,
     return sequence, SamplerReport(True, draws, seed)
 
 
-@dataclass(frozen=True)
-class NonrepCheck:
+class NonrepCheck(NamedTuple):
     ok: bool
     witness: tuple[int, int] | None   # 1-based (s, t): halves at s and s+t
 
@@ -427,8 +424,7 @@ def greedy_acyclic_edge_coloring(graph: Graph, palette: int, seed: int,
     return coloring, SamplerReport(True, draws, seed)
 
 
-@dataclass(frozen=True)
-class AcyclicCheck:
+class AcyclicCheck(NamedTuple):
     ok: bool
     kind: str                     # "", "adjacent", or "cycle"
     witness: tuple
@@ -498,8 +494,7 @@ def is_acyclic_edge_coloring(graph: Graph,
 
 # ------------------------------------- repetitively colored path checker
 
-@dataclass(frozen=True)
-class NonrepColoringCheck:
+class NonrepColoringCheck(NamedTuple):
     ok: bool
     witness: tuple[str, ...] | None
 

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .engine import TOL
 from .instances import Hypergraph
@@ -28,8 +27,7 @@ from .instances import Hypergraph
 GRID_POINTS = 10 ** 4
 
 
-@dataclass(frozen=True)
-class SeriesCondition:
+class SeriesCondition(NamedTuple):
     """Inequality tau >= 1 + g(tau) on the domain [1, radius)."""
 
     g: Callable[[float], float]
@@ -37,8 +35,7 @@ class SeriesCondition:
     description: str = ""
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     feasible: bool
     tau_star: float | None        # least satisfying weight; best point if none
     margin: float                 # tau_star - 1 - g(tau_star)
@@ -198,8 +195,7 @@ def two_coloring_condition(k: int, d: float, variant: str) -> SeriesCondition:
                            f"2-coloring, k={k}, d={d}, {variant}")
 
 
-@dataclass(frozen=True)
-class HypergraphColoringBound:
+class HypergraphColoringBound(NamedTuple):
     k: int
     variant: str
     bound: float
@@ -274,8 +270,7 @@ def chromatic_condition(delta: float, palette: float) -> SeriesCondition:
                            f"palette={palette}")
 
 
-@dataclass(frozen=True)
-class NonrepChromaticBound:
+class NonrepChromaticBound(NamedTuple):
     delta: int
     closed_form: float
     palette: int                  # ceil of the closed form
@@ -323,8 +318,7 @@ def acyclic_condition(delta: int, palette: int) -> SeriesCondition:
                            f"palette={palette}")
 
 
-@dataclass(frozen=True)
-class AcyclicFeasibility:
+class AcyclicFeasibility(NamedTuple):
     delta: int
     palette: int
     extrapolated: bool            # palette differs from 4 * (delta - 1)
@@ -355,8 +349,7 @@ def g_weight(t: int, z: float) -> float:
     return 2.0 ** (1 - t) / z
 
 
-@dataclass(frozen=True)
-class CriticalSlack:
+class CriticalSlack(NamedTuple):
     k: int
     c_min: float                  # least slack with a solvable quadratic
     default_c: float              # 4 * sqrt(k)
@@ -381,8 +374,7 @@ def critical_min_slack(k: int) -> CriticalSlack:
                          defect - 64.0 * root_k)
 
 
-@dataclass(frozen=True)
-class CriticalConditionReport:
+class CriticalConditionReport(NamedTuple):
     ratio_ok: bool                # 4 tau / k >= 1 / (z - 1)
     weight_ok: bool               # tau >= 1 + 4 z tau^2 (k - c) / k^2
     canonical_z: float            # k / (4 tau) + 1
@@ -410,8 +402,7 @@ def critical_condition_check(k: int, c: float, tau: float, z: float,
                                    ratio_ok and weight_ok)
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """Edge counts at a vertex of a partially peeled hypergraph, split by
     surviving-intersection size: `a` counts edges that lost vertices,
     keyed by surviving size; `b` counts fully surviving edges, keyed by
@@ -436,8 +427,7 @@ class DegreeProfile:
                 + sum(count * g_weight(t, z) for t, count in self.b.items()))
 
 
-@dataclass(frozen=True)
-class VertexConditionReport:
+class VertexConditionReport(NamedTuple):
     ok: bool
     rhs: float
     gamma: float
@@ -472,8 +462,7 @@ def critical_vertex_condition(profile: DegreeProfile, k: int, c: float,
     return VertexConditionReport(ok, rhs, gamma)
 
 
-@dataclass(frozen=True)
-class PeelResult:
+class PeelResult(NamedTuple):
     status: str                   # "all-peeled" or "stopped"
     order: tuple[str, ...]
     step_sums: tuple[float, ...]

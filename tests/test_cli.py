@@ -568,15 +568,22 @@ def test_cli_import_leaves_scipy_unloaded():
     assert python_process(["-c", probe]).stdout.strip() == b"[]"
 
 
-# one fresh process per call: run main, then print its exit code and the
-# heavy packages loaded, as the last line of stdout
-STARTUP_PROBE = """
+# what start-up leaves out: the process pool, which only `sample --jobs`
+# starts, and what dataclass records and exact rationals would load
+STARTUP_SPARED = {"concurrent.futures", "dataclasses", "fractions",
+                  "multiprocessing"}
+
+# one fresh process per call: run main, then print its exit code, the
+# heavy packages, the localcut modules and the spared modules loaded, as
+# the last line of stdout
+STARTUP_PROBE = f"""
 import json, sys
 from localcut.cli import main
 code = main(sys.argv[1:])
-heavy = sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+heavy = sorted({{m.split(".")[0] for m in sys.modules}} & {{"numpy", "scipy"}})
 ours = sorted(m for m in sys.modules if m.split(".")[0] == "localcut")
-print(json.dumps([code, heavy, ours]))
+spared = sorted(set(sys.modules) & {STARTUP_SPARED!r})
+print(json.dumps([code, heavy, ours, spared]))
 """
 
 STARTUP_INPUTS = {
@@ -591,7 +598,7 @@ STARTUP_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("argv", [
+NON_DRAWING_CALLS = [
     ["threshold", "sequence", "--L", "4"],
     ["threshold", "hypcol", "--k", "10", "--d", "19"],
     ["check-lcl", "lcl.json"],
@@ -601,23 +608,46 @@ STARTUP_INPUTS = {
     ["peel", "triangle.json", "--k", "4", "--c", "2", "--z", "2"],
     ["validate-model", "nonrep", "--n", "4", "--uniform", "2"],
     ["validate-model", "hypcol2", "--n", "6", "--k", "3", "--d", "1"],
-], ids=lambda argv: "_".join(a.lstrip("-") for a in argv
-                          if not a.endswith(".json")))
-def test_only_drawing_subcommands_load_numpy(argv, tmp_path):
+]
+
+
+def call_id(argv):
+    return "_".join(a.lstrip("-") for a in argv if not a.endswith(".json"))
+
+
+def startup_probe(argv, tmp_path):
+    """Exit code, heavy packages, localcut modules and spared modules of
+    one fresh-process call."""
     for name, payload in STARTUP_INPUTS.items():
         write(tmp_path, name, payload)
     argv = [str(tmp_path / a) if a in STARTUP_INPUTS else a for a in argv]
     out = python_process(["-c", STARTUP_PROBE, *argv]).stdout
-    code, heavy, _ = json.loads(out.splitlines()[-1])
+    return json.loads(out.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", NON_DRAWING_CALLS, ids=call_id)
+def test_only_drawing_subcommands_load_numpy(argv, tmp_path):
+    code, heavy, _, _ = startup_probe(argv, tmp_path)
     assert code in (0, 1) and heavy == []
+
+
+@pytest.mark.parametrize("argv", NON_DRAWING_CALLS, ids=call_id)
+def test_non_drawing_subcommands_spare_pool_records_and_rationals(
+        argv, tmp_path):
+    code, _, _, spared = startup_probe(argv, tmp_path)
+    assert code in (0, 1) and spared == []
+
+
+def test_cli_import_spares_pool_records_and_rationals():
+    probe = ("import sys, localcut.cli; "
+             f"print(sorted(set(sys.modules) & {STARTUP_SPARED!r}))")
+    assert python_process(["-c", probe]).stdout.strip() == b"[]"
 
 
 def test_auto_mu_loads_only_the_lll_core(tmp_path):
     # the weight translation's families import stays out of --auto-mu
-    path = write(tmp_path, "lll.json", STARTUP_INPUTS["lll.json"])
-    out = python_process(["-c", STARTUP_PROBE, "check-lll", path,
-                          "--auto-mu"]).stdout
-    code, _, ours = json.loads(out.splitlines()[-1])
+    code, _, ours, _ = startup_probe(["check-lll", "lll.json", "--auto-mu"],
+                                     tmp_path)
     assert code == 0 and ours == [
         "localcut", "localcut.cli", "localcut.digraph", "localcut.engine",
         "localcut.lll", "localcut.probability"]
@@ -710,6 +740,46 @@ def test_handler_errors_map_to_exit_codes(module, name, extra, expected,
     prefix = {2: "error:", 3: "indeterminate:", 4: "internal error:"}
     assert code == expected and out == ""
     assert err.startswith(prefix[expected]) and "boom" in err
+
+
+def test_reports_refuse_records():
+    # a NamedTuple record is a tuple, but a handler must name its fields
+    from localcut.cli import _canonical
+    record = thresholds.FeasibilityResult(True, 1.5, 0.25, 3)
+    with pytest.raises(TypeError, match="FeasibilityResult"):
+        _canonical({"result": record})
+    with pytest.raises(TypeError, match="Edge"):
+        _canonical([localcut.Edge("e", "x", "y")])
+    assert _canonical({"pair": (1, 2.5)}) == '{"pair":[1,2.5]}'
+
+
+def test_tracer_hooks_and_read_only_records():
+    # perfbench/spans.py wraps these by name, in the class or module
+    # __dict__; a rename or a move must fail here, not only in its run
+    import concurrent.futures
+
+    from localcut import cli, instances, probability
+    assert callable(probability.RiskTable.__dict__["__init__"])
+    assert callable(probability.RiskTable.__dict__["validate"])
+    assert callable(probability.ProductSpace.__dict__["outcomes"])
+    assert isinstance(instances.ListAssignment.__dict__["uniform"],
+                      staticmethod)
+    assert cli.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+    assert cli.__dict__["ProcessPoolExecutor"] is cli.ProcessPoolExecutor
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
+    # records are read-only, those with cached properties included
+    graph = localcut.MultiDigraph.build(["x", "y"], [("e", "x", "y")])
+    risks = localcut.RiskTable({("e", "y"): 0.5})
+    inst = localcut.CutInstance.build(graph, risks)
+    assert inst.reach["x"] == {"x", "y"}
+    for record, field in ((graph.edges[0], "head"), (graph, "edges"),
+                          (risks, "entries"), (inst, "graph"),
+                          (instances.ListAssignment.uniform(2, 3), "lists"),
+                          (thresholds.FeasibilityResult(True, 1.5, 0.25, 3),
+                           "margin")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
 
 
 def test_output_is_byte_stable(capsys):

@@ -7,7 +7,6 @@ definition, run as its own pass, so results must agree exactly: tables
 with ==, checks field for field.
 """
 
-import dataclasses
 import itertools
 import json
 import os
@@ -356,7 +355,7 @@ def assert_conditionals_match(inst, witnesses):
     tau = {v: 1.5 for v in inst.ground}
     got = check_family_condition(inst, tau, witnesses)
     plain = check_family_condition(
-        dataclasses.replace(inst, blockers=None), tau, witnesses)
+        inst._replace(blockers=None), tau, witnesses)
     assert (got.sigma, got.margins) == (plain.sigma, plain.margins)
     for elem, bundle in inst.events.items():
         for label, event in bundle:
@@ -391,16 +390,16 @@ def test_blocker_path_matches_member_path():
         if n > 1:
             # events that favour some members, so the worst Z moves
             pairs = {key: rng.sample(vertices, 2) for key in witnesses}
-            assert_conditionals_match(dataclasses.replace(fam, events={
+            assert_conditionals_match(fam._replace(events={
                 elem: tuple((label, colors_differ(*pairs[(elem, label)]))
                             for label, _ in bundle)
                 for elem, bundle in fam.events.items()}), witnesses)
         elem = rng.choice(sorted({v for e in edges for v in e}))
-        broken = dataclasses.replace(fam, events={**fam.events, elem: ()})
+        broken = fam._replace(events={**fam.events, elem: ()})
         for inst in (fam, broken):
             got = validate_family_instance(inst)
             plain = validate_family_instance(
-                dataclasses.replace(inst, blockers=None))
+                inst._replace(blockers=None))
             assert (got.ok, got.counterexample, got.reason) == \
                 (plain.ok, plain.counterexample, plain.reason)
             assert got.ok or inst is broken
