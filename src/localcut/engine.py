@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from operator import itemgetter
+from itertools import chain
+from operator import itemgetter, sub
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .digraph import (Arc, MultiDigraph, SimpleDigraph, check_weights,
@@ -65,11 +66,12 @@ def kleene(operator: Callable[[dict], dict], start: Mapping,
     while applications < iter_cap:
         nxt = operator(current)
         applications += 1
-        sup_step = 0.0
-        for key, value in nxt.items():
-            step = value - current[key]
-            sup_step = max(sup_step, abs(step))
-            min_step = min(min_step, step)
+        # builtin max/min over an iterable fold pairwise from the first
+        # item, as the per-entry loop did, so a NaN step is skipped alike
+        steps = list(map(sub, nxt.values(), map(current.__getitem__, nxt)))
+        sup_step = max(chain((0.0,), map(abs, steps)))
+        min_step = min(chain((min_step,), steps))
+        del steps             # else it stays alive through the next call
         current = nxt
         peak = max(current.values(), default=0.0)
         if peak > value_cap:

@@ -243,7 +243,7 @@ def validate_family_instance(inst: FamilyInstance, *,
 
 
 def tau_of_set(tau: Mapping[str, float], subset: Iterable[str]) -> float:
-    return math.prod(tau[i] for i in subset)
+    return math.prod(map(tau.__getitem__, subset))
 
 
 Terms = Mapping[str, Sequence[tuple[float, Iterable[str]]]]  # i -> (p, W)s
@@ -252,12 +252,14 @@ Terms = Mapping[str, Sequence[tuple[float, Iterable[str]]]]  # i -> (p, W)s
 def apply_tau_operator(ground: Sequence[str], terms: Terms,
                        tau: Mapping[str, float]) -> dict[str, float]:
     """One step of the element update: tau(i) -> 1 + sum of p * tau(W)
-    over i's terms, summed left to right."""
+    over i's terms, summed left to right (not with sum(), which
+    compensates from Python 3.12 on)."""
+    weight, prod = tau.__getitem__, math.prod
     nxt = {}
     for elem in ground:
         total = 0.0
         for p, witness in terms.get(elem, ()):
-            total += p * tau_of_set(tau, witness)
+            total += p * prod(map(weight, witness))
         nxt[elem] = 1.0 + total
     return nxt
 
@@ -439,10 +441,15 @@ def least_tau_solution(ground: Sequence[str], terms: Terms,
     function, convergence to the least solution, divergence verdict past
     value_cap, IndeterminateError at the iteration cap.
     """
+    known = set(ground)
     for elem in ground:
         for p, witness in terms.get(elem, ()):
             if elem not in witness:
                 raise ValueError(f"witness {sorted(witness)} misses {elem!r}")
+            if not known.issuperset(witness):
+                other = next(x for x in witness if x not in known)
+                raise ValueError(f"witness {sorted(witness)} holds "
+                                 f"{other!r}, not a ground element")
             if p < 0.0:
                 raise ValueError("negative probability bound")
 

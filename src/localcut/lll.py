@@ -12,7 +12,7 @@ reproduces the same bound.
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .engine import ITER_CAP, TOL, FixedPointResult, kleene
 
@@ -80,12 +80,20 @@ class LopsidedReport(NamedTuple):
     bound: float                  # prod_i (1 - mu_i)
 
 
+def _keep_products(mu: Mapping[int, float],
+                   gammas: Iterable[frozenset[int]]) -> list[float]:
+    """prod(1 - mu_j) over each neighbourhood, multiplied in the set's
+    iteration order.  Each 1 - mu_j is computed once, into a table that
+    is dropped on return, before the caller builds its result."""
+    keep = {j: 1.0 - m for j, m in mu.items()}.__getitem__
+    return [math.prod(map(keep, g)) for g in gammas]
+
+
 def check_lopsided(inst: LllInstance, tol: float = TOL) -> LopsidedReport:
-    margins = {}
-    for i in range(1, inst.n + 1):
-        allowance = inst.mu[i] * math.prod(1.0 - inst.mu[j]
-                                           for j in inst.gamma[i])
-        margins[i] = allowance - inst.probs[i]
+    events = range(1, inst.n + 1)
+    products = _keep_products(inst.mu, map(inst.gamma.__getitem__, events))
+    margins = {i: inst.mu[i] * prod - inst.probs[i]
+               for i, prod in zip(events, products)}
     feasible = all(m >= -tol for m in margins.values())
     bound = math.prod(1.0 - inst.mu[i] for i in range(1, inst.n + 1))
     return LopsidedReport(feasible, margins, bound)
@@ -132,16 +140,24 @@ def auto_mu(probs: Mapping[int, float], gamma: Mapping[int, frozenset[int]],
     check_lopsided at a tolerance judges them.
     """
     idx = sorted(probs)
+    for i in gamma:
+        if i not in probs:
+            raise LllError(f"gamma[{i}] has no event")
     for i in idx:
         if not 0.0 <= probs[i] < 1.0:
             raise LllError(f"p[{i}] = {probs[i]} outside [0,1)")
+        if i not in gamma:
+            raise LllError(f"gamma[{i}] is missing")
+        if not all(map(probs.__contains__, gamma[i])):
+            j = next(j for j in gamma[i] if j not in probs)
+            raise LllError(f"gamma[{i}] holds {j}, not an event")
+        if i in gamma[i]:
+            raise LllError(f"gamma[{i}] contains {i}")
 
     def operator(mu: dict[int, float]) -> dict[int, float]:
-        nxt = {}
-        for i in idx:
-            denom = math.prod(1.0 - mu[j] for j in gamma[i])
-            nxt[i] = probs[i] / denom if denom > 0.0 else math.inf
-        return nxt
+        products = _keep_products(mu, map(gamma.__getitem__, idx))
+        return {i: p / d if d > 0.0 else math.inf
+                for i, p, d in zip(idx, map(probs.__getitem__, idx), products)}
 
     # the largest float below 1 as the cap: an entry >= 1 is infeasible
     return kleene(operator, {i: probs[i] for i in idx}, tol, iter_cap,

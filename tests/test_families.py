@@ -245,6 +245,9 @@ def test_least_tau_input_validation():
         least_tau_solution(("a",), {"a": [(0.5, frozenset({"b"}))]})
     with pytest.raises(ValueError):
         least_tau_solution(("a",), {"a": [(-0.5, frozenset({"a"}))]})
+    for witness in (("a", "b"), frozenset({"a", "b"})):
+        with pytest.raises(ValueError, match="'b'"):
+            least_tau_solution(("a",), {"a": [(0.5, witness)]})
 
 
 def test_coloring_family_needs_two_colors():

@@ -1,6 +1,7 @@
 """Lopsided local-lemma checker and the level-to-weight translation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,20 @@ def test_auto_mu_validation_and_cap():
         auto_mu({1: 1.0, 2: 0.1}, gamma)
     with pytest.raises(IndeterminateError):
         auto_mu({1: 0.24999, 2: 0.24999}, gamma, iter_cap=3)
+
+
+@pytest.mark.parametrize("probs, gamma, message", [
+    ({1: 0.1}, {1: frozenset({2})}, "gamma[1] holds 2"),
+    ({1: 0.1, 2: 0.1}, {1: frozenset()}, "gamma[2] is missing"),
+    ({1: 0.1, 2: 0.1}, {1: frozenset({1}), 2: frozenset()},
+     "gamma[1] contains 1"),
+    ({1: 0.1}, {1: frozenset(), 3: frozenset()}, "gamma[3] has no event"),
+])
+def test_auto_mu_validates_gamma_like_build(probs, gamma, message):
+    with pytest.raises(LllError, match=re.escape(message)):
+        auto_mu(probs, gamma)
+    with pytest.raises(LllError):   # the instance builder agrees
+        LllInstance.build(max(probs), gamma, probs, dict.fromkeys(probs, 0.0))
 
 
 def test_random_feasible_instances_translate_cleanly():
