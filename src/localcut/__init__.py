@@ -1,9 +1,10 @@
 """Directed-cut feasibility conditions: checkers, solvers, and samplers.
 
-The core machinery lives in `digraph`, `probability`, and `engine`:
-directed multigraphs with product weights, finite product probability
-spaces with exact enumeration, and the per-arc weight condition with its
-monotone least-solution iteration and probability-bound assertions.
+`core` holds the shared tolerance and cap constants, the monotone
+(Kleene) iteration and the margin rule.  The cut machinery lives in
+`digraph`, `probability`, and `engine`: directed multigraphs with product
+weights, finite product probability spaces with exact enumeration, and
+the per-arc weight condition with its probability-bound assertions.
 `families` carries the subset-family specialization, `lll` the classic
 product-form condition, `thresholds` the closed-form application bounds,
 `choice` the forbidden-partial-choice machinery, and `samplers` the
@@ -14,17 +15,18 @@ below resolve on first use (PEP 562), so an import loads only what it uses.
 import importlib
 
 _EXPORTS = {
+    "core": """EnumerationCapError FixedPointResult IndeterminateError
+        WeightReport""",
     "digraph": """DigraphError Edge MultiDigraph NotOutClosedError
         SimpleDigraph digraph_from_json digraph_to_json is_a_cut is_out_closed
         min_product_weight min_product_weights reachable underlying_simple""",
-    "probability": """EnumerationCapError McEstimate ProductSpace RiskTable
-        SpaceError CutModel cond_prob estimate_cond_prob exact_prob
-        risk_table_exact risk_table_from_json space_from_json
-        validate_cut_model vertex_probabilities""",
-    "engine": """CutInstance FixedPointResult IndeterminateError WeightReport
-        apply_risk_operator build_nonrep_instance check_weight_condition
-        least_weight_solution probability_bounds risk_of_edge
-        telescoping_check""",
+    "probability": """McEstimate ProductSpace RiskTable SpaceError CutModel
+        cond_prob estimate_cond_prob exact_prob risk_table_exact
+        risk_table_from_json space_from_json validate_cut_model
+        vertex_probabilities""",
+    "engine": """CutInstance apply_risk_operator build_nonrep_instance
+        check_weight_condition least_weight_solution probability_bounds
+        risk_of_edge telescoping_check""",
     "families": """FamilyInstance apply_tau_operator boundary
         check_family_condition check_tau_condition family_of
         hypercube_digraph hypergraph_coloring_family least_tau_solution

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .engine import TOL
+from .core import TOL
 from .instances import Graph
 
 RESAMPLE_CAP = 10 ** 4

@@ -28,13 +28,10 @@ import sys
 from functools import partial
 from typing import Mapping, Sequence
 
-# The core every subcommand but `sample` runs; each handler imports the
-# rest of what it uses, so a call loads only its own modules.
-from . import engine
-from .digraph import digraph_from_json
-from .engine import ITER_CAP, TOL, IndeterminateError
-from .probability import (ENUM_CAP, EnumerationCapError, SpaceError,
-                          risk_table_from_json, validate_cut_model)
+# Only the shared core loads with the command line; each handler imports
+# what it runs, so a call loads only its own modules.
+from .core import (ENUM_CAP, ITER_CAP, TOL, EnumerationCapError,
+                   IndeterminateError, UsageError)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -129,7 +126,7 @@ def _env(name: str, cast, fallback):
     try:
         return cast(raw)
     except ValueError as exc:
-        raise SpaceError(f"bad {_ENV_PREFIX}{name}={raw!r}") from exc
+        raise UsageError(f"bad {_ENV_PREFIX}{name}={raw!r}") from exc
 
 
 def _setting(args, attr: str, env_name: str, cast, fallback):
@@ -153,24 +150,28 @@ def _parse_weights(table, known: Mapping[str, object], what: str,
     """A {name: number} map that names every known name and no other,
     keyed by known[name]; `what` and `noun` word the errors."""
     if not isinstance(table, Mapping):
-        raise SpaceError(f"need an object with one {what} per {noun}")
+        raise UsageError(f"need an object with one {what} per {noun}")
     weights = {}
     for name, value in table.items():
         if name not in known:
-            raise SpaceError(f"{what} for unknown {noun} {name!r}")
+            raise UsageError(f"{what} for unknown {noun} {name!r}")
         weights[known[name]] = float(value)
     missing = sorted(set(known) - set(table))
     if missing:
-        raise SpaceError(f"no {what} for {noun} {missing[0]!r}")
+        raise UsageError(f"no {what} for {noun} {missing[0]!r}")
     return weights
 
 
 # ----------------------------------------------------------- subcommands
 
 def _run_check_lcl(args):
+    from . import engine
+    from .digraph import digraph_from_json
+    from .probability import risk_table_from_json
+
     data = _load_json(args.instance)
     if not isinstance(data, Mapping) or "digraph" not in data:
-        raise SpaceError('instance needs a "digraph" entry')
+        raise UsageError('instance needs a "digraph" entry')
     graph = digraph_from_json(data["digraph"])
     risks = risk_table_from_json({"risks": data.get("risks", [])})
     inst = engine.CutInstance.build(graph, risks)
@@ -206,27 +207,27 @@ def _run_check_lcl(args):
 
 def _family_terms(data) -> tuple[tuple[str, ...], dict]:
     if not isinstance(data, Mapping) or "ground" not in data:
-        raise SpaceError('instance needs a "ground" entry')
+        raise UsageError('instance needs a "ground" entry')
     ground = tuple(sorted(str(i) for i in data["ground"]))
     members = frozenset(ground)
     if len(members) != len(ground) or not ground:
-        raise SpaceError("ground set must be nonempty without duplicates")
+        raise UsageError("ground set must be nonempty without duplicates")
     terms: dict[str, list] = {i: [] for i in ground}
     for idx, entry in enumerate(data.get("events", [])):
         try:
             element = str(entry["element"])
             p = float(entry["p"])
-            witness = tuple(sorted({str(w) for w in entry["witness"]}))
+            witness = tuple(sorted(set(map(str, entry["witness"]))))
         except (TypeError, KeyError) as exc:
-            raise SpaceError(f"malformed event {idx}: {exc}") from exc
+            raise UsageError(f"malformed event {idx}: {exc}") from exc
         if element not in terms:
-            raise SpaceError(f"event {idx} names unknown element "
+            raise UsageError(f"event {idx} names unknown element "
                              f"{element!r}")
         if not members.issuperset(witness) or element not in witness:
-            raise SpaceError(f"event {idx} witness must contain its "
+            raise UsageError(f"event {idx} witness must contain its "
                              "element and stay inside the ground set")
         if not 0.0 <= p <= 1.0:
-            raise SpaceError(f"event {idx} has probability {p} outside "
+            raise UsageError(f"event {idx} has probability {p} outside "
                              "[0, 1]")
         terms[element].append((p, witness))
     return ground, terms
@@ -310,7 +311,7 @@ def _run_threshold(args):
     code = EXIT_OK
     if app == "hypcol":
         if args.k is None:
-            raise SpaceError("hypcol needs --k")
+            raise UsageError("hypcol needs --k")
         variant = args.variant or "exact"
         got = thresholds.hypergraph_two_coloring_max_degree(args.k, variant,
                                                             tol)
@@ -321,7 +322,7 @@ def _run_threshold(args):
                  "max_d": got.max_d}]
         if args.d is not None:
             if variant == "lll":
-                raise SpaceError("the lll variant has no scalar condition "
+                raise UsageError("the lll variant has no scalar condition "
                                  "to check at --d")
             result = thresholds.scalar_feasible(
                 thresholds.two_coloring_condition(args.k, args.d, variant),
@@ -330,7 +331,7 @@ def _run_threshold(args):
             code = EXIT_OK if result.feasible else EXIT_NEGATIVE
     elif app == "sequence":
         if args.list_size is None:
-            raise SpaceError("sequence needs --L")
+            raise UsageError("sequence needs --L")
         result = thresholds.nonrepetitive_sequence_feasible(args.list_size,
                                                             tol)
         report.update({"list_size": args.list_size,
@@ -340,7 +341,7 @@ def _run_threshold(args):
         code = EXIT_OK if result.feasible else EXIT_NEGATIVE
     elif app == "chromatic":
         if args.delta is None:
-            raise SpaceError("chromatic needs --delta")
+            raise UsageError("chromatic needs --delta")
         got = thresholds.nonrepetitive_chromatic_bound(args.delta, tol)
         report.update({"delta": args.delta, "bound": got.closed_form,
                        "palette": got.palette, "y": got.y,
@@ -350,7 +351,7 @@ def _run_threshold(args):
                  "palette": got.palette}]
     elif app == "acyclic":
         if args.delta is None or args.k is None:
-            raise SpaceError("acyclic needs --delta and --k")
+            raise UsageError("acyclic needs --delta and --k")
         got = thresholds.acyclic_feasible(args.delta, args.k, tol)
         report.update({"delta": args.delta, "palette": args.k,
                        "extrapolated": got.extrapolated,
@@ -361,7 +362,7 @@ def _run_threshold(args):
         code = EXIT_OK if got.result.feasible else EXIT_NEGATIVE
     else:                                        # critical
         if args.k is None:
-            raise SpaceError("critical needs --k")
+            raise UsageError("critical needs --k")
         slack = thresholds.critical_min_slack(args.k)
         report.update({"k": args.k, "c_min": slack.c_min,
                        "default_c": slack.default_c,
@@ -436,18 +437,18 @@ def _run_sample(args):
     jobs = _setting(args, "jobs", "JOBS", int, 1)
     runs = 1 if args.runs is None else args.runs
     if runs < 1:
-        raise SpaceError(f"--runs must be at least 1, got {runs}")
+        raise UsageError(f"--runs must be at least 1, got {runs}")
     if jobs < 1:
-        raise SpaceError(f"--jobs (or {_ENV_PREFIX}JOBS) must be at least 1, "
+        raise UsageError(f"--jobs (or {_ENV_PREFIX}JOBS) must be at least 1, "
                          f"got {jobs}")
     if args.edges is not None and args.edges < 1:
-        raise SpaceError(f"--edges must be at least 1, got {args.edges}")
+        raise UsageError(f"--edges must be at least 1, got {args.edges}")
     if kind == "2col":
         if args.instance:
             payload = (hypergraph_from_json(_load_json(args.instance)),)
         else:
             if args.n is None or args.k is None or args.d is None:
-                raise SpaceError("2col needs --instance or --n --k --d")
+                raise UsageError("2col needs --instance or --n --k --d")
             payload = (random_regular_uniform_hypergraph(
                 args.n, args.k, args.d, seed),)
     elif kind == "nonrep-seq":
@@ -455,7 +456,7 @@ def _run_sample(args):
             payload = (lists_from_json(_load_json(args.instance)),)
         else:
             if args.n is None or args.uniform is None:
-                raise SpaceError("nonrep-seq needs --instance or "
+                raise UsageError("nonrep-seq needs --instance or "
                                  "--n --uniform")
             payload = (ListAssignment.uniform(args.n, args.uniform),)
     else:
@@ -463,14 +464,14 @@ def _run_sample(args):
             graph = graph_from_json(_load_json(args.instance))
         else:
             if args.n is None or args.delta is None:
-                raise SpaceError("acyclic needs --instance or --n --delta")
+                raise UsageError("acyclic needs --instance or --n --delta")
             edges = (args.n * args.delta // 2 if args.edges is None
                      else args.edges)
             graph = random_graph_max_degree(args.n, args.delta, edges, seed)
         palette = args.k if args.k is not None else \
             4 * (graph.max_degree - 1)
         if palette < 1:
-            raise SpaceError("palette must be nonempty")
+            raise UsageError("palette must be nonempty")
         payload = (graph, palette)
     seeds = list(range(seed, seed + runs))
     result = None
@@ -518,8 +519,11 @@ def _run_validate_model(args):
             lists = lists_from_json(_load_json(args.instance))
         else:
             if args.n is None or args.uniform is None:
-                raise SpaceError("nonrep needs --instance or --n --uniform")
+                raise UsageError("nonrep needs --instance or --n --uniform")
             lists = ListAssignment.uniform(args.n, args.uniform)
+        from . import engine
+        from .probability import validate_cut_model
+
         inst = engine.build_nonrep_instance(
             lists.lists, risk_mode=args.risk_mode, cap=cap)
         checked = inst.model_check
@@ -538,14 +542,14 @@ def _run_validate_model(args):
         hypergraph = hypergraph_from_json(_load_json(args.instance))
     else:
         if args.n is None or args.k is None or args.d is None:
-            raise SpaceError("hypcol2 needs --instance or --n --k --d")
+            raise UsageError("hypcol2 needs --instance or --n --k --d")
         seed = _setting(args, "seed", "SEED", int, 0)
         hypergraph = random_regular_uniform_hypergraph(
             args.n, args.k, args.d, seed)
     from . import families
 
-    fam, _ = families.hypergraph_coloring_family(hypergraph,
-                                                 args.colors or 2)
+    colors = 2 if args.colors is None else args.colors
+    fam, _ = families.hypergraph_coloring_family(hypergraph, colors)
     checked = families.validate_family_instance(fam, cap=cap)
     report = {"subcommand": "validate-model", "builder": "hypcol2",
               "ok": checked.ok, "reason": checked.reason,

@@ -18,72 +18,17 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter, sub
-from typing import Callable, Mapping, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Mapping, NamedTuple, Sequence
 
+# the shared names stay importable from here, where callers found them
+from .core import (ENUM_CAP, ITER_CAP, TOL, VALUE_CAP,  # noqa: F401
+                   FixedPointResult, IndeterminateError, WeightReport,
+                   check_margins, kleene)
 from .digraph import (Arc, MultiDigraph, SimpleDigraph, check_weights,
                       min_product_weights, reachable, underlying_simple)
-from .probability import (ENUM_CAP, CutModel, ModelCheck, ProductSpace,
+from .probability import (CutModel, ModelCheck, ProductSpace,
                           RiskTable, risk_table_exact, vertex_probabilities)
-
-TOL = 1e-12
-ITER_CAP = 10 ** 5
-VALUE_CAP = 1e9
-
-
-class IndeterminateError(RuntimeError):
-    """Iteration cap reached without convergence or divergence."""
-
-    def __init__(self, message: str, iterations: int):
-        super().__init__(message)
-        self.iterations = iterations
-
-
-class FixedPointResult(NamedTuple):
-    """What a monotone iteration ends with.  weights is the last iterate,
-    None when diverged; it is not checked against any condition."""
-
-    status: str                   # "converged" or "diverged"
-    weights: dict | None
-    iterations: int               # operator applications
-    max_entry: float              # the last iterate's largest entry
-    min_step: float               # most negative per-entry step observed
-
-
-def kleene(operator: Callable[[dict], dict], start: Mapping,
-           tol: float = TOL, iter_cap: int = ITER_CAP,
-           value_cap: float = VALUE_CAP) -> FixedPointResult:
-    """Iterate a monotone operator from `start` until it settles.
-
-    Stops "converged" once no entry moves by tol or more, and "diverged"
-    once some entry exceeds value_cap.  Raises IndeterminateError after
-    iter_cap applications.
-    """
-    current = dict(start)
-    applications = 0
-    min_step = 0.0
-    while applications < iter_cap:
-        nxt = operator(current)
-        applications += 1
-        # builtin max/min over an iterable fold pairwise from the first
-        # item, as the per-entry loop did, so a NaN step is skipped alike
-        steps = list(map(sub, nxt.values(), map(current.__getitem__, nxt)))
-        sup_step = max(chain((0.0,), map(abs, steps)))
-        min_step = min(chain((min_step,), steps))
-        del steps             # else it stays alive through the next call
-        current = nxt
-        peak = max(current.values(), default=0.0)
-        if peak > value_cap:
-            return FixedPointResult("diverged", None, applications, peak,
-                                    min_step)
-        if sup_step < tol:
-            return FixedPointResult("converged", current, applications,
-                                    peak, min_step)
-    raise IndeterminateError(
-        f"no convergence or divergence within {iter_cap} iterations",
-        applications)
-
 
 # One parallel edge's risk entries: the (z, r) pairs to scan, and whether
 # the arc's floor min over reach(head) of P(z) caps them.
@@ -220,22 +165,13 @@ def _risk_update(inst: CutInstance,
     return out
 
 
-class WeightReport(NamedTuple):
-    weights: dict[Arc, float]
-    margins: dict[Arc, float]     # weight - 1 - summed edge risks, per arc
-    feasible: bool
-
-
 def check_weight_condition(inst: CutInstance, weights: Mapping[Arc, float],
                            tol: float = TOL) -> WeightReport:
     """Check the per-arc condition; feasible iff every margin >= -tol.
 
     Supplied weights are validated even when all are zero, which the
     operator would read as the Kleene start."""
-    updated = _risk_update(inst, weights)
-    margins = {arc: weights[arc] - updated[arc] for arc in updated}
-    feasible = all(m >= -tol for m in margins.values())
-    return WeightReport(dict(weights), margins, feasible)
+    return check_margins(weights, _risk_update(inst, weights), tol)
 
 
 def least_weight_solution(inst: CutInstance, tol: float = TOL,

@@ -21,12 +21,12 @@ import itertools
 import math
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
+from .core import (ENUM_CAP, ITER_CAP, TOL, VALUE_CAP, EnumerationCapError,
+                   FixedPointResult, WeightReport, check_margins, kleene)
 from .digraph import MultiDigraph
-from .engine import (ITER_CAP, TOL, VALUE_CAP, FixedPointResult,
-                     WeightReport, kleene)
 from .instances import Hypergraph
-from .probability import (ENUM_CAP, CutModel, EnumerationCapError, Event,
-                          ProductSpace, SamplePoint, _Kahan)
+from .probability import (CutModel, Event, ProductSpace, SamplePoint,
+                          _Kahan)
 
 HYPERCUBE_MAX_GROUND = 4
 
@@ -273,10 +273,7 @@ def check_tau_condition(ground: Sequence[str], terms: Terms,
         if not 1.0 <= tau[elem] < math.inf:
             raise ValueError(f"tau[{elem!r}] = {tau[elem]} is not a finite "
                              "number >= 1")
-    updated = apply_tau_operator(ground, terms, tau)
-    margins = {elem: tau[elem] - updated[elem] for elem in ground}
-    feasible = all(m >= -tol for m in margins.values())
-    return WeightReport(dict(tau), margins, feasible)
+    return check_margins(tau, apply_tau_operator(ground, terms, tau), tol)
 
 
 def witness_bound(inst: FamilyInstance, event: Event, witness: Subset,

@@ -152,7 +152,9 @@ def lists_from_json(obj: dict) -> ListAssignment:
 def random_regular_uniform_hypergraph(n: int, k: int, d: int,
                                       seed: int) -> Hypergraph:
     """d-regular k-uniform hypergraph: d independent random partitions of
-    the vertex set into blocks of k.  Requires k | n."""
+    the vertex set into blocks of k.  Requires n, k >= 1, d >= 0 and k | n."""
+    if n < 1 or k < 1 or d < 0:
+        raise InstanceError(f"need n >= 1, k >= 1 and d >= 0, got {n, k, d}")
     if n % k != 0:
         raise InstanceError(f"k={k} does not divide n={n}")
     rng = random.Random(seed)

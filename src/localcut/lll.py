@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, NamedTuple
 
-from .engine import ITER_CAP, TOL, FixedPointResult, kleene
+from .core import ITER_CAP, TOL, FixedPointResult, kleene
 
 
 class LllError(ValueError):
@@ -66,7 +66,7 @@ def instance_from_json(obj: dict, levels: bool = True) -> LllInstance:
         raise LllError(f"bad instance object: {exc}") from exc
     if not (len(gamma_rows) == len(probs) == len(mu) == n):
         raise LllError(f"arrays must all have length n={n}")
-    gamma = {i + 1: frozenset(int(j) for j in row)
+    gamma = {i + 1: frozenset(map(int, row))
              for i, row in enumerate(gamma_rows)}
     return LllInstance.build(n,
                              gamma,

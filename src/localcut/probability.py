@@ -11,17 +11,13 @@ import itertools
 import math
 from typing import Callable, Iterator, Mapping, NamedTuple
 
+from .core import ENUM_CAP, EnumerationCapError
 from .digraph import MultiDigraph, head_reach, underlying_simple
 
 SamplePoint = dict
 Event = Callable[[SamplePoint], bool]
 
-ENUM_CAP = 1 << 22
 WEIGHT_SUM_TOL = 1e-12
-
-
-class EnumerationCapError(RuntimeError):
-    """The outcome count exceeds the enumeration cap."""
 
 
 class SpaceError(ValueError):

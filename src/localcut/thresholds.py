@@ -21,7 +21,7 @@ import heapq
 import math
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .engine import TOL
+from .core import TOL
 from .instances import Hypergraph
 
 GRID_POINTS = 10 ** 4

@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -42,6 +43,10 @@ def python_process(args, hash_seed=0):
                filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, timeout=120, check=True)
+
+
+def call_id(argv):
+    return "_".join(a.lstrip("-") for a in argv if not a.endswith(".json"))
 
 
 # ------------------------------------------------------------- check-lcl
@@ -526,6 +531,26 @@ def test_validate_model_counts_every_reachable_pair(mode, capsys):
                                          for i in range(1, n))
 
 
+@pytest.mark.parametrize("colors", ["0", "1"])
+def test_validate_model_rejects_fewer_than_two_colors(colors, capsys):
+    # 0 is a given value, not "use the default of 2"
+    code, out, err = run(["validate-model", "hypcol2", "--n", "6", "--k",
+                          "3", "--d", "1", "--colors", colors], capsys)
+    assert code == 2 and out == "" and "at least two colors" in err
+
+
+@pytest.mark.parametrize("call, n, k, d", [
+    ("sample", "4", "0", "1"), ("sample", "0", "2", "1"),
+    ("sample", "-4", "2", "1"), ("sample", "4", "2", "-1"),
+    ("validate-model", "4", "0", "1"), ("validate-model", "0", "2", "1"),
+])
+def test_random_hypergraph_rejects_sizes_out_of_range(call, n, k, d, capsys):
+    kind = "2col" if call == "sample" else "hypcol2"
+    code, out, err = run([call, kind, "--n", n, "--k", k, "--d", d], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: need n >= 1, k >= 1 and d >= 0")
+
+
 # ------------------------------------------------------------------- peel
 
 def test_peel_cli_both_verdicts(tmp_path, capsys):
@@ -579,7 +604,7 @@ STARTUP_SPARED = {"concurrent.futures", "dataclasses", "fractions",
 STARTUP_PROBE = f"""
 import json, sys
 from localcut.cli import main
-code = main(sys.argv[1:])
+code = main(sys.argv[1:]) if sys.argv[1:] else None
 heavy = sorted({{m.split(".")[0] for m in sys.modules}} & {{"numpy", "scipy"}})
 ours = sorted(m for m in sys.modules if m.split(".")[0] == "localcut")
 spared = sorted(set(sys.modules) & {STARTUP_SPARED!r})
@@ -595,6 +620,9 @@ STARTUP_INPUTS = {
                  "mu": [0.25, 0.25]},
     "triangle.json": {"vertices": ["a", "b", "c"],
                       "edges": [["a", "b", "c"]]},
+    "choice.json": {"universes": [["a1", "a2"], ["b1", "b2"]],
+                    "forbidden": [["a1", "b1"]],
+                    "p": {"a1": 1.0, "a2": 1.0, "b1": 1.0, "b2": 1.0}},
 }
 
 
@@ -609,10 +637,6 @@ NON_DRAWING_CALLS = [
     ["validate-model", "nonrep", "--n", "4", "--uniform", "2"],
     ["validate-model", "hypcol2", "--n", "6", "--k", "3", "--d", "1"],
 ]
-
-
-def call_id(argv):
-    return "_".join(a.lstrip("-") for a in argv if not a.endswith(".json"))
 
 
 def startup_probe(argv, tmp_path):
@@ -644,13 +668,35 @@ def test_cli_import_spares_pool_records_and_rationals():
     assert python_process(["-c", probe]).stdout.strip() == b"[]"
 
 
-def test_auto_mu_loads_only_the_lll_core(tmp_path):
-    # the weight translation's families import stays out of --auto-mu
-    code, _, ours, _ = startup_probe(["check-lll", "lll.json", "--auto-mu"],
-                                     tmp_path)
-    assert code == 0 and ours == [
-        "localcut", "localcut.cli", "localcut.digraph", "localcut.engine",
-        "localcut.lll", "localcut.probability"]
+LOCALCUT_MODULES = {f"localcut.{path.stem}" for path in
+                    pathlib.Path(localcut.__file__).parent.glob("*.py")
+                    if path.stem != "__init__"}
+CUT_ENGINE = {"localcut.engine", "localcut.digraph", "localcut.probability"}
+
+# per call, the localcut modules it must not load: each runs only its own
+# code on top of `core`; an empty argv only imports the command line
+STARTUP_TABLE = [
+    ([], LOCALCUT_MODULES - {"localcut.cli", "localcut.core"}),
+    (["threshold", "sequence", "--L", "4"], CUT_ENGINE),
+    (["peel", "triangle.json", "--k", "4", "--c", "2", "--z", "2"],
+     CUT_ENGINE),
+    (["check-lll", "lll.json", "--auto-mu"],
+     CUT_ENGINE | {"localcut.families"}),
+    (["choice", "choice.json"], CUT_ENGINE),
+    (["sample", "2col", "--n", "8", "--k", "4", "--d", "1"], CUT_ENGINE),
+    (["check-family", "family.json"], {"localcut.engine"}),
+    (["validate-model", "hypcol2", "--n", "6", "--k", "3", "--d", "1"],
+     {"localcut.engine"}),
+]
+
+
+@pytest.mark.parametrize("argv, unloaded", STARTUP_TABLE,
+                         ids=[call_id(argv) or "import"
+                              for argv, _ in STARTUP_TABLE])
+def test_startup_loads_only_what_the_call_runs(argv, unloaded, tmp_path):
+    code, _, ours, _ = startup_probe(argv, tmp_path)
+    assert code in (None, 0, 1)
+    assert "localcut.core" in ours and set(ours) & unloaded == set()
 
 
 def test_sample_pool_runs_from_a_fresh_process():
@@ -719,6 +765,7 @@ HANDLER_ERRORS = [
     ("localcut.samplers", "SamplerError", (), 2),
     ("localcut.samplers", "PaletteTooSmallError", (), 2),
     ("json", "JSONDecodeError", ("{", 1), 2),
+    ("localcut.core", "UsageError", (), 2),
     ("localcut.engine", "IndeterminateError", (3,), 3),
     ("localcut.probability", "EnumerationCapError", (), 3),
     ("builtins", "RuntimeError", (), 4),
