@@ -18,10 +18,9 @@ from collections import Counter
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from .core import TOL
 from .instances import Graph
+from .rng import Generator, pairwise_sum
 
 RESAMPLE_CAP = 10 ** 4
 
@@ -257,15 +256,15 @@ def randomized_choice_search(inst: ChoiceInstance, weights: MarginalWeights,
         raise ChoiceError("expectation condition is infeasible")
     if cap < 0:
         raise ChoiceError("resample cap must be nonnegative")
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     dists = []
-    for i, u in enumerate(inst.universes):
-        probs = np.array([weights.p[x] for x in u], dtype=float)
-        dists.append(probs / probs.sum())
+    for u in inst.universes:
+        probs = [weights.p[x] for x in u]
+        total = pairwise_sum(probs)
+        dists.append([x / total for x in probs])
 
     def draw(i: int) -> str:
-        u = inst.universes[i]
-        return u[int(rng.choice(len(u), p=dists[i]))]
+        return inst.universes[i][rng.choice(dists[i])]
 
     current = [draw(i) for i in range(len(inst.universes))]
     resamples = 0

@@ -136,6 +136,14 @@ def _setting(args, attr: str, env_name: str, cast, fallback):
     return _env(env_name, cast, fallback)
 
 
+def _seed(args) -> int:
+    seed = _setting(args, "seed", "SEED", int, 0)
+    if seed < 0:
+        raise UsageError(f"--seed (or {_ENV_PREFIX}SEED) must be at least 0, "
+                         f"got {seed}")
+    return seed
+
+
 def _load_json(path: str):
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)
@@ -388,6 +396,7 @@ def _run_choice(args):
                          check_expectation_condition, choice_from_json,
                          marginals_from_json, randomized_choice_search)
 
+    seed = _seed(args)
     data = _load_json(args.instance)
     inst = choice_from_json(data)
     if "p" not in data:
@@ -402,7 +411,6 @@ def _run_choice(args):
             for i, m in enumerate(rep.sum_margins)]
     if not rep.feasible:
         return EXIT_NEGATIVE, report, rows
-    seed = _setting(args, "seed", "SEED", int, 0)
     cap = _setting(args, "cap", "CAP", int, RESAMPLE_CAP)
     found = randomized_choice_search(inst, weights, seed, cap, rep)
     report.update({"status": found.status, "resamples": found.resamples,
@@ -420,8 +428,8 @@ def _sample_once(draw, payload: tuple, cap: int, seed: int) -> dict:
 
 
 def _run_sample(args):
-    # samplers (and numpy) load before the pool forks, so its workers
-    # inherit them instead of importing them again
+    # samplers load before the pool forks, so its workers inherit them
+    # instead of importing them again
     from . import samplers
     from .instances import (ListAssignment, graph_from_json,
                             hypergraph_from_json, lists_from_json,
@@ -432,7 +440,7 @@ def _run_sample(args):
     draw = {"2col": samplers.moser_tardos_two_coloring,
             "nonrep-seq": samplers.nonrep_sequence_build,
             "acyclic": samplers.greedy_acyclic_edge_coloring}[kind]
-    seed = _setting(args, "seed", "SEED", int, 0)
+    seed = _seed(args)
     cap = _setting(args, "cap", "CAP", int, samplers.RESAMPLE_CAP)
     jobs = _setting(args, "jobs", "JOBS", int, 1)
     runs = 1 if args.runs is None else args.runs
@@ -543,7 +551,7 @@ def _run_validate_model(args):
     else:
         if args.n is None or args.k is None or args.d is None:
             raise UsageError("hypcol2 needs --instance or --n --k --d")
-        seed = _setting(args, "seed", "SEED", int, 0)
+        seed = _seed(args)
         hypergraph = random_regular_uniform_hypergraph(
             args.n, args.k, args.d, seed)
     from . import families

@@ -101,12 +101,12 @@ class ProductSpace(NamedTuple):
 
     def sample_batch(self, trials: int, seed: int) -> list[SamplePoint]:
         """Deterministic batch of independent samples for the given seed."""
-        import numpy as np          # only Monte Carlo estimation draws
+        from .rng import Generator      # only Monte Carlo estimation draws
 
-        rng = np.random.default_rng(seed)
+        rng = Generator(seed)
         columns = []
         for var in self.variables:
-            idx = rng.choice(len(var.values), size=trials, p=np.array(var.weights))
+            idx = rng.choice(var.weights, size=trials)
             columns.append([var.values[i] for i in idx])
         names = [v.name for v in self.variables]
         return [dict(zip(names, row)) for row in zip(*columns)] if columns else \

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from itertools import compress, count, islice
+from operator import eq
 from typing import Hashable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from .instances import Graph, Hypergraph, ListAssignment
+from .rng import Generator
 
 __all__ = [
     "SamplerError", "PaletteTooSmallError", "BudgetExceededError",
@@ -78,9 +79,9 @@ def moser_tardos_two_coloring(hypergraph: Hypergraph, seed: int,
     the least index is the first monochromatic edge in edge order."""
     if cap < 0:
         raise SamplerError("cap must be nonnegative")
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     order = hypergraph.vertices
-    colors = {v: int(b) for v, b in zip(order, rng.integers(0, 2, len(order)))}
+    colors = dict(zip(order, rng.integers(0, 2, len(order))))
     edges = hypergraph.edges
 
     def monochromatic(idx: int) -> bool:
@@ -102,7 +103,7 @@ def moser_tardos_two_coloring(hypergraph: Hypergraph, seed: int,
                                        "resample cap exhausted")
         bad = edges[heap[0]]
         for v in sorted(bad):
-            colors[v] = int(rng.integers(0, 2))
+            colors[v] = rng.integers(0, 2)
         resamples += 1
         for idx in {idx for v in bad for idx in hypergraph.edges_at[v]}:
             now = monochromatic(idx)
@@ -213,7 +214,7 @@ def nonrep_sequence_build(lists: ListAssignment, seed: int,
     if cap < 0:
         raise SamplerError("cap must be nonnegative")
     n = len(lists)
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     table: dict[Hashable, int] = {}
     for symbols in lists.lists:
         _symbol_codes(symbols, table)
@@ -226,7 +227,7 @@ def nonrep_sequence_build(lists: ListAssignment, seed: int,
                                        "draw cap exhausted")
         position = len(buf)
         symbols = lists.lists[position]
-        symbol = symbols[int(rng.integers(0, len(symbols)))]
+        symbol = symbols[rng.integers(0, len(symbols))]
         draws += 1
         buf.append(symbol)
         t = index.push(table[symbol])
@@ -261,61 +262,34 @@ def is_nonrepetitive(sequence: Sequence[Hashable]) -> NonrepCheck:
     least start is then j minus the backward run, and since anchors of
     one t lie t apart, the first hit in (t, j) order has the least start.
 
-    Half lengths go in bands [2^i, 2^(i+1)), shortest first, and the
-    first band with a hit gives the witness.  That is O(n log n) anchors
-    in all, and each band costs O(log n) numpy calls: the runs grow in
-    gathers whose width doubles each round."""
+    That is O(n log n) anchors in all.  Each t compares its anchors in
+    one pass over the codes at the multiples of t, and only the anchors
+    that agree (about a quarter on four symbols) extend their runs."""
     n = len(sequence)
     table: dict[Hashable, int] = {}
     _symbol_codes(sequence, table)
-    # int32 holds every code, index and count for n < 2**31
-    codes = np.array([table[s] for s in sequence], dtype=np.int32)
-    half, lo = n // 2, 1
-    while lo <= half:
-        t = np.arange(lo, min(2 * lo, half + 1), dtype=np.int32)
-        counts = (n - 1) // t   # the multiples j of t with j + t < n
-        ts = np.repeat(t, counts)
-        js = np.arange(ts.size, dtype=np.int32)
-        js -= np.repeat(np.cumsum(counts, dtype=np.int32) - counts, counts)
-        js *= ts
-        # an anchor that disagrees itself has no forward run, and the
-        # backward run alone stops short of t
-        keep = np.flatnonzero(codes[js] == codes[js + ts])
-        ts, js = ts[keep], js[keep]
-        forward = _agreeing_run(codes, js, ts, np.minimum(ts, n - ts - js), 1)
-        back = _agreeing_run(codes, js - 1, ts, np.minimum(ts - 1, js), -1)
-        hit = np.flatnonzero(forward + back >= ts)
-        if hit.size:
-            a = hit[0]
-            return NonrepCheck(False, (int(js[a] - back[a]) + 1, int(ts[a])))
-        lo *= 2
+    codes = [table[s] for s in sequence]
+    for t in range(1, n // 2 + 1):
+        # anchor j = i * t pairs entries i and i + 1 of this stride; one
+        # that disagrees has no forward run, and the backward run alone
+        # stops short of t
+        stride = codes if t == 1 else codes[::t]
+        for i in compress(count(), map(eq, stride, islice(stride, 1, None))):
+            j = i * t
+            k = j + t
+            cap = min(t, n - k)
+            forward = 1
+            while forward < cap and codes[j + forward] == codes[k + forward]:
+                forward += 1
+            reach = min(t - 1, j)
+            if forward + reach < t:
+                continue
+            back = 0
+            while back < reach and codes[j - 1 - back] == codes[k - 1 - back]:
+                back += 1
+            if forward + back >= t:
+                return NonrepCheck(False, (j - back + 1, t))
     return NonrepCheck(True, None)
-
-
-def _agreeing_run(codes: np.ndarray, first: np.ndarray, shift: np.ndarray,
-                  cap: np.ndarray, step: int) -> np.ndarray:
-    """For each row, how many of the positions first, first + step, ...
-    (at most cap of them) agree with the code `shift` further on, up to
-    the first that does not.  Each round gathers the next `width`
-    positions of every unfinished row, and the width doubles."""
-    run = np.zeros(first.size, dtype=np.int32)
-    live = np.flatnonzero(cap)
-    width = 1
-    while live.size:
-        left = cap[live] - run[live]
-        # offsets past a row's cap repeat its last position, so they
-        # agree exactly when that position does
-        offsets = np.minimum(np.arange(width, dtype=np.int32),
-                             (left - 1)[:, None])
-        pos = (first[live] + step * run[live])[:, None] + step * offsets
-        differ = codes[pos] != codes[pos + shift[live][:, None]]
-        lead = differ.argmax(axis=1)
-        full = (lead == 0) & ~differ[:, 0]
-        lead[full] = width
-        run[live] += np.minimum(lead, left)
-        live = live[full & (left > width)]
-        width *= 2
-    return run
 
 
 # ------------------------------------------------ acyclic edge coloring
@@ -390,7 +364,7 @@ def greedy_acyclic_edge_coloring(graph: Graph, palette: int, seed: int,
         raise SamplerError("palette must be nonempty")
     if cap < 0:
         raise SamplerError("cap must be nonnegative")
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     coloring: EdgeColoring = {}
     at: dict[tuple[str, int], frozenset] = {}
     draws = 0
@@ -405,7 +379,7 @@ def greedy_acyclic_edge_coloring(graph: Graph, palette: int, seed: int,
             if draws >= cap:
                 return None, SamplerReport(False, draws, seed,
                                            "draw cap exhausted")
-            c = allowed[int(rng.integers(0, len(allowed)))]
+            c = allowed[rng.integers(0, len(allowed))]
             draws += 1
             coloring[edge] = c
             for v in edge:

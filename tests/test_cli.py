@@ -494,6 +494,37 @@ def test_sample_rejects_edges_below_one(edges, capsys):
     assert code == 2 and out == "" and "--edges" in err
 
 
+SEEDED_CALLS = [
+    ["sample", "2col", "--n", "16", "--k", "8", "--d", "2"],
+    ["sample", "nonrep-seq", "--n", "5", "--uniform", "4"],
+    ["sample", "acyclic", "--n", "10", "--delta", "3"],
+    ["choice", "choice.json"],
+    ["validate-model", "hypcol2", "--n", "6", "--k", "3", "--d", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", SEEDED_CALLS, ids=call_id)
+@pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None),
+                                       ([], "-3")], ids=["flag", "env"])
+def test_seeded_calls_reject_a_negative_seed(argv, flag, env, tmp_path,
+                                             monkeypatch, capsys):
+    from localcut import instances
+
+    def not_reached(*args):
+        raise AssertionError("instance generated before the seed check")
+
+    # rejected up front: no random instance is generated first
+    monkeypatch.setattr(instances, "random_regular_uniform_hypergraph",
+                        not_reached)
+    monkeypatch.setattr(instances, "random_graph_max_degree", not_reached)
+    if env is not None:
+        monkeypatch.setenv("LOCALCUT_SEED", env)
+    path = write(tmp_path, "choice.json", STARTUP_INPUTS["choice.json"])
+    argv = [path if a == "choice.json" else a for a in argv]
+    code, out, err = run([*argv, *flag], capsys)
+    assert code == 2 and out == "" and "--seed" in err
+
+
 def test_internal_fault_exits_4(monkeypatch, capsys):
     from localcut import samplers
     monkeypatch.setattr(samplers, "verify_proper_2coloring",
@@ -649,10 +680,51 @@ def startup_probe(argv, tmp_path):
     return json.loads(out.splitlines()[-1])
 
 
-@pytest.mark.parametrize("argv", NON_DRAWING_CALLS, ids=call_id)
+DRAWING_CALLS = [
+    ["sample", "nonrep-seq", "--n", "30", "--uniform", "4"],
+    ["sample", "acyclic", "--n", "12", "--delta", "3"],
+    ["sample", "2col", "--n", "16", "--k", "8", "--d", "2", "--runs", "2",
+     "--jobs", "2"],
+    ["choice", "choice.json"],
+]
+
+
+# the name predates `rng`: since it reproduces NumPy's seeded stream, no
+# subcommand loads numpy, the drawing ones included
+@pytest.mark.parametrize("argv", NON_DRAWING_CALLS + DRAWING_CALLS,
+                         ids=call_id)
 def test_only_drawing_subcommands_load_numpy(argv, tmp_path):
     code, heavy, _, _ = startup_probe(argv, tmp_path)
     assert code in (0, 1) and heavy == []
+
+
+# each sampler and a Monte Carlo estimate; prints what they drew
+DRAWS_PROBE = """
+import json
+from localcut import instances, probability, samplers
+space = probability.ProductSpace.build(
+    [("x", [0, 1], [0.25, 0.75]), ("y", [0, 1, 2], [0.5, 0.25, 0.25])])
+est = probability.estimate_cond_prob(
+    space, lambda pt: pt["x"] == 1, lambda pt: pt["y"] > 0, 400, seed=3)
+seq, _ = samplers.nonrep_sequence_build(
+    instances.ListAssignment.uniform(60, 4), 5)
+graph = instances.random_graph_max_degree(14, 3, 21, 2)
+edges, _ = samplers.greedy_acyclic_edge_coloring(graph, 8, 2)
+hypergraph = instances.random_regular_uniform_hypergraph(16, 8, 2, 1)
+colors, _ = samplers.moser_tardos_two_coloring(hypergraph, 1)
+print(json.dumps([est, seq, sorted((sorted(e), c) for e, c in edges.items()),
+                  sorted(colors.items())]))
+"""
+
+
+def test_draws_need_no_numpy():
+    # with every import of numpy failing, the same draws
+    blocked = python_process(
+        ["-c", 'import sys; sys.modules["numpy"] = None\n' + DRAWS_PROBE])
+    assert blocked.stdout == python_process(["-c", DRAWS_PROBE]).stdout
+    est, seq, edges, colors = json.loads(blocked.stdout)
+    assert est[3] > 0 and len(seq) == 60 and edges
+    assert len(colors) == 16
 
 
 @pytest.mark.parametrize("argv", NON_DRAWING_CALLS, ids=call_id)

@@ -1,10 +1,13 @@
 """Randomized constructions and their independent verifiers."""
 
+import functools
 import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localcut import samplers
 from localcut.instances import Graph, Hypergraph, ListAssignment
@@ -110,14 +113,45 @@ def test_is_nonrepetitive_witnesses():
     assert word[s - 1:s - 1 + t] == word[s - 1 + t:s - 1 + 2 * t]
 
 
+def brute_witness(word):
+    """The least half length t, then the least 1-based start, of a square."""
+    n = len(word)
+    return next(((k + 1, t) for t in range(1, n // 2 + 1)
+                 for k in range(n - 2 * t + 1)
+                 if word[k:k + t] == word[k + t:k + 2 * t]), None)
+
+
 def test_is_nonrepetitive_witnesses_against_brute_force():
     for length in range(9):
         for word in itertools.product("abc", repeat=length):
-            want = next(((k + 1, t) for t in range(1, length // 2 + 1)
-                         for k in range(length - 2 * t + 1)
-                         if word[k:k + t] == word[k + t:k + 2 * t]), None)
+            want = brute_witness(word)
             chk = is_nonrepetitive(word)
             assert (chk.ok, chk.witness) == (want is None, want)
+
+
+@functools.cache
+def square_free_word(size, seed):
+    return nonrep_sequence_build(ListAssignment.uniform(300, size), seed)[0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(size=st.integers(3, 4), seed=st.integers(0, 40),
+       half=st.integers(1, 60), start=st.integers(0, 10 ** 6),
+       nudge=st.booleans())
+def test_is_nonrepetitive_finds_planted_squares(size, seed, half, start,
+                                                nudge):
+    # a square-free word with a square of half length `half` copied in;
+    # the agreeing run may reach back past the copy, and a nudged last
+    # symbol leaves a near miss, so long forward and backward runs are
+    # both exercised
+    word = list(square_free_word(size, seed))
+    s = start % (len(word) - 2 * half + 1)
+    word[s + half:s + 2 * half] = word[s:s + half]
+    if nudge:
+        word[s + 2 * half - 1] = str((int(word[s + 2 * half - 1]) + 1) % size)
+    chk = is_nonrepetitive(word)
+    want = brute_witness(word)
+    assert (chk.ok, chk.witness) == (want is None, want)
 
 
 def test_is_nonrepetitive_on_builder_output_prefixes():
