@@ -26,7 +26,7 @@ from .core import (ENUM_CAP, ITER_CAP, TOL, VALUE_CAP, EnumerationCapError,
 from .digraph import MultiDigraph
 from .instances import Hypergraph
 from .probability import (CutModel, Event, ProductSpace, SamplePoint,
-                          _Kahan)
+                          _ratio_up)
 
 HYPERCUBE_MAX_GROUND = 4
 
@@ -226,8 +226,8 @@ def validate_family_instance(inst: FamilyInstance, *,
     inst.space.check_cap(cap)
     lattice = _Lattice(inst.ground, cap)
     family_at = _family_reader(inst, lattice)
-    for point, prob in inst.space.outcomes(cap):
-        if prob <= 0.0:
+    for point, mass in inst.space.outcomes(cap):
+        if not mass:
             continue
         family = family_at(point)
         try:
@@ -282,9 +282,9 @@ def witness_bound(inst: FamilyInstance, event: Event, witness: Subset,
     """Worst conditional event probability times the witness weight product.
 
     The conditional is maximized over subsets Z disjoint from the witness
-    set, conditioning on Z being a family member; Pr(cond) = 0 contributes
-    0.  With p_bound given, enumeration is skipped and the bound is
-    p_bound * tau(witness).
+    set, conditioning on Z being a family member, and rounded up to a float;
+    Pr(cond) = 0 contributes 0.  With p_bound given, enumeration is skipped
+    and the bound is p_bound * tau(witness).
     """
     if p_bound is None:
         p_bound = _worst_conditional(inst, event, witness, cap, outside_cap)
@@ -300,21 +300,17 @@ def _worst_conditional(inst: FamilyInstance, event: Event, witness: Subset,
     lattice = _Lattice(outside)
     family_at = _family_reader(inst, lattice)
     # per Z, by mask: the mass of the outcomes where Z is a member
-    base = [_Kahan() for _ in range(1 << len(outside))]
-    joint = [_Kahan() for _ in base]
-    for point, prob in inst.space.outcomes(cap):
-        if prob <= 0.0:
+    base = [0] * (1 << len(outside))
+    joint = base[:]
+    for point, mass in inst.space.outcomes(cap):
+        if not mass:
             continue
         happened = event(point)
         for m in _bits(family_at(point)):
-            base[m].add(prob)
+            base[m] += mass
             if happened:
-                joint[m].add(prob)
-    worst = 0.0
-    for b, j in zip(base, joint):
-        if b.total > 0.0:
-            worst = max(worst, j.total / b.total)
-    return worst
+                joint[m] += mass
+    return max(map(_ratio_up, joint, base))
 
 
 WitnessMap = Mapping[tuple[str, str], Subset]   # (element, label) -> witness

@@ -152,9 +152,12 @@ def lists_from_json(obj: dict) -> ListAssignment:
 def random_regular_uniform_hypergraph(n: int, k: int, d: int,
                                       seed: int) -> Hypergraph:
     """d-regular k-uniform hypergraph: d independent random partitions of
-    the vertex set into blocks of k.  Requires n, k >= 1, d >= 0 and k | n."""
+    the vertex set into blocks of k.  Requires n, k >= 1, d >= 0, k | n and
+    seed >= 0, since random.Random(-s) seeds like Random(s)."""
     if n < 1 or k < 1 or d < 0:
         raise InstanceError(f"need n >= 1, k >= 1 and d >= 0, got {n, k, d}")
+    if seed < 0:
+        raise InstanceError(f"need seed >= 0, got {seed}")
     if n % k != 0:
         raise InstanceError(f"k={k} does not divide n={n}")
     rng = random.Random(seed)
@@ -171,9 +174,11 @@ def random_regular_uniform_hypergraph(n: int, k: int, d: int,
 def random_graph_max_degree(n: int, max_degree: int, target_edges: int,
                             seed: int) -> Graph:
     """Random simple graph with every degree <= max_degree; stops at the
-    edge target or when no candidate pair is left."""
+    edge target or when no candidate pair is left.  Requires seed >= 0."""
     if max_degree < 1 or n < 2:
         raise InstanceError("need n >= 2 and max_degree >= 1")
+    if seed < 0:
+        raise InstanceError(f"need seed >= 0, got {seed}")
     rng = random.Random(seed)
     vertices = [f"w{i}" for i in range(n)]
     degree = {v: 0 for v in vertices}

@@ -1,6 +1,9 @@
 """Finite product probability spaces: exact enumeration, conditioning,
 Monte-Carlo estimation, and exact risk tables for cut models.
 
+Enumerated probabilities are exact: every outcome carries an integer mass,
+sums are sums of Python ints, and each result is one division, correctly
+rounded; risk entries and worst conditionals are rounded up instead.
 Conditional probabilities follow the convention Pr(P | Q) = 0 whenever
 Pr(Q) = 0, so Pr(P | Q) * Pr(Q) = Pr(P and Q) holds without case splits.
 """
@@ -28,17 +31,24 @@ class Variable(NamedTuple):
     name: str
     values: tuple
     weights: tuple[float, ...]
+    masses: tuple[int, ...]     # the weights as coprime integers, in ratio
 
 
 class ProductSpace(NamedTuple):
-    """Independent named variables, each with a finite weighted value set."""
+    """Independent named variables, each with a finite weighted value set.
+
+    An outcome's mass is the product of its values' masses, and
+    mass * num / den, with (num, den) = unit, is its probability under the
+    weights taken at their binary-float values."""
 
     variables: tuple[Variable, ...]
+    unit: tuple[int, int]
 
     @staticmethod
     def build(variables: list[tuple[str, list, list[float]]]) -> "ProductSpace":
         out = []
         seen: set[str] = set()
+        num = den = 1
         for name, values, weights in variables:
             if name in seen:
                 raise SpaceError(f"duplicate variable {name!r}")
@@ -48,13 +58,24 @@ class ProductSpace(NamedTuple):
             if len(values) != len(weights):
                 raise SpaceError(f"variable {name!r}: {len(values)} values "
                                  f"but {len(weights)} weights")
+            if not all(map(math.isfinite, weights)):
+                raise SpaceError(f"variable {name!r} has a non-finite weight")
             if any(w < 0 for w in weights):
                 raise SpaceError(f"variable {name!r} has a negative weight")
             if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
                 raise SpaceError(f"variable {name!r}: weights sum to "
                                  f"{sum(weights)}, not 1")
-            out.append(Variable(name, tuple(values), tuple(weights)))
-        return ProductSpace(tuple(out))
+            # floats are integers over powers of two: scale the weights to
+            # coprime integers, so a uniform variable's masses are all 1
+            ratios = [w.as_integer_ratio() for w in weights]
+            scale = math.lcm(*(d for _, d in ratios))
+            masses = [n * (scale // d) for n, d in ratios]
+            common = math.gcd(*masses)
+            num *= common
+            den *= scale
+            out.append(Variable(name, tuple(values), tuple(weights),
+                                tuple(m // common for m in masses)))
+        return ProductSpace(tuple(out), (num, den))
 
     @staticmethod
     def uniform(variables: list[tuple[str, list]]) -> "ProductSpace":
@@ -71,33 +92,15 @@ class ProductSpace(NamedTuple):
             raise EnumerationCapError(
                 f"{self.n_outcomes} outcomes exceed cap {cap}")
 
-    def outcomes(self, cap: int = ENUM_CAP) -> Iterator[tuple[SamplePoint, float]]:
-        """Yield (sample point, probability) for every outcome."""
+    def outcomes(self, cap: int = ENUM_CAP) -> Iterator[tuple[SamplePoint, int]]:
+        """Yield (sample point, integer mass) for every outcome; see
+        `unit` for the probability a mass stands for."""
         self.check_cap(cap)
         names = [v.name for v in self.variables]
         values = itertools.product(*(v.values for v in self.variables))
-        weights = itertools.product(*(v.weights for v in self.variables))
-        for combo, ws in zip(values, weights):
-            # left to right from 1.0, the same floats as a plain loop
-            yield dict(zip(names, combo)), math.prod(ws, start=1.0)
-
-    def outcomes_exact(self, cap: int = ENUM_CAP) -> Iterator[tuple[SamplePoint, Fraction]]:
-        """Outcome enumeration with exact rational probabilities.
-
-        Weights are taken at their binary-float values, so the rationals
-        reproduce the float inputs exactly rather than any decimal intent.
-        """
-        from fractions import Fraction      # only exact sums use rationals
-
-        self.check_cap(min(cap, 1 << 16))
-        names = [v.name for v in self.variables]
-        pairs = [[(val, Fraction(w)) for val, w in zip(v.values, v.weights)]
-                 for v in self.variables]
-        for combo in itertools.product(*pairs):
-            prob = Fraction(1)
-            for _, w in combo:
-                prob *= w
-            yield dict(zip(names, (val for val, _ in combo))), prob
+        masses = itertools.product(*(v.masses for v in self.variables))
+        for combo, ms in zip(values, masses):
+            yield dict(zip(names, combo)), math.prod(ms)
 
     def sample_batch(self, trials: int, seed: int) -> list[SamplePoint]:
         """Deterministic batch of independent samples for the given seed."""
@@ -113,66 +116,38 @@ class ProductSpace(NamedTuple):
                [{} for _ in range(trials)]
 
 
-class _Kahan:
-    """Compensated accumulator; the corpus sums thousands of tiny terms."""
+def _ratio_up(joint: int, base: int) -> float:
+    """The least float >= joint / base, for ints 0 <= joint <= base; 0.0
+    when base is 0, as for a condition of probability 0.
 
-    __slots__ = ("total", "carry")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.carry = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self.carry
-        t = self.total + y
-        self.carry = (t - self.total) - y
-        self.total = t
+    Int division rounds correctly to nearest, so the quotient steps up one
+    ulp only when it falls below the exact ratio; it never passes 1."""
+    if not base:
+        return 0.0
+    q = joint / base
+    num, den = q.as_integer_ratio()
+    return math.nextafter(q, math.inf) if num * base < joint * den else q
 
 
 def exact_prob(space: ProductSpace, event: Event, *,
-               cap: int = ENUM_CAP, exact: bool = False):
-    """Probability of the event by full enumeration.
-
-    With exact=True the sum is done in rationals (small spaces only) and a
-    Fraction is returned.
-    """
-    if exact:
-        from fractions import Fraction
-
-        total = Fraction(0)
-        for point, prob in space.outcomes_exact(cap):
-            if event(point):
-                total += prob
-        return total
-    acc = _Kahan()
-    for point, prob in space.outcomes(cap):
-        if event(point):
-            acc.add(prob)
-    return acc.total
+               cap: int = ENUM_CAP) -> float:
+    """Probability of the event by full enumeration, correctly rounded."""
+    num, den = space.unit
+    total = sum(mass for point, mass in space.outcomes(cap) if event(point))
+    return total * num / den
 
 
 def cond_prob(space: ProductSpace, event: Event, given: Event, *,
-              cap: int = ENUM_CAP, exact: bool = False):
-    """Pr(event | given); 0 when the condition has probability 0."""
-    if exact:
-        from fractions import Fraction
-
-        joint = Fraction(0)
-        base = Fraction(0)
-        for point, prob in space.outcomes_exact(cap):
-            if given(point):
-                base += prob
-                if event(point):
-                    joint += prob
-        return joint / base if base else Fraction(0)
-    joint = _Kahan()
-    base = _Kahan()
-    for point, prob in space.outcomes(cap):
+              cap: int = ENUM_CAP) -> float:
+    """Pr(event | given) by full enumeration, correctly rounded; 0 when the
+    condition has probability 0."""
+    joint = base = 0
+    for point, mass in space.outcomes(cap):
         if given(point):
-            base.add(prob)
+            base += mass
             if event(point):
-                joint.add(prob)
-    return joint.total / base.total if base.total > 0.0 else 0.0
+                joint += mass
+    return joint / base if base else 0.0
 
 
 class McEstimate(NamedTuple):
@@ -258,8 +233,8 @@ def validate_cut_model(space: ProductSpace, model: CutModel, *,
     """Check out-closure of A and cut coverage of F on every outcome of
     positive probability."""
     check = _cut_checker(model.digraph)
-    for point, prob in space.outcomes(cap):
-        if prob <= 0.0:
+    for point, mass in space.outcomes(cap):
+        if not mass:
             continue
         reason = check(model.a_of(point), model.f_of(point))
         if reason is not None:
@@ -312,21 +287,25 @@ def risk_table_exact(space: ProductSpace, model: CutModel, *,
     """Exact risk table by one sweep over the outcome space, with the
     model's check.
 
-    The same sweep runs validate_cut_model's test on each outcome until
-    the first failure, so the ModelCheck returned with the table is the
-    one validate_cut_model gives.  Edges that F names but the digraph
-    lacks add no mass; the check reports them.
+    Each entry is the least float >= Pr(e in F | z in A), from exact
+    integer mass sums, so the table never understates a risk.  The same
+    sweep runs validate_cut_model's test on each outcome until the first
+    failure, so the ModelCheck returned with the table is the one
+    validate_cut_model gives.  Edges that F names but the digraph lacks
+    add no mass; the check reports them.
     """
     graph = model.digraph
     reach = head_reach(graph)
     check = _cut_checker(graph)
     checked = ModelCheck(True, None, "ok")
-    vertex_mass = {v: _Kahan() for v in graph.vertices}
-    joint = {(e.id, z): _Kahan() for e in graph.edges for z in reach[e.head]}
-    rows = {e.id: tuple((z, joint[(e.id, z)]) for z in reach[e.head])
-            for e in graph.edges}
-    for point, prob in space.outcomes(cap):
-        if prob <= 0.0:
+    vertex_mass = dict.fromkeys(graph.vertices, 0)
+    keys = [(e.id, z) for e in graph.edges for z in reach[e.head]]
+    joint = [0] * len(keys)
+    rows: dict[str, list[tuple[str, int]]] = {}   # edge -> (z, key index)
+    for i, (eid, z) in enumerate(keys):
+        rows.setdefault(eid, []).append((z, i))
+    for point, mass in space.outcomes(cap):
+        if not mass:
             continue
         inside = model.a_of(point)
         chosen = model.f_of(point)
@@ -335,30 +314,28 @@ def risk_table_exact(space: ProductSpace, model: CutModel, *,
             if reason is not None:
                 checked = ModelCheck(False, point, reason)
         for v in inside:
-            vertex_mass[v].add(prob)
+            vertex_mass[v] += mass
         for eid in chosen:
-            for z, acc in rows.get(eid, ()):
+            for z, i in rows.get(eid, ()):
                 if z in inside:
-                    acc.add(prob)
-    entries = {}
-    for key, acc in joint.items():
-        base = vertex_mass[key[1]].total
-        entries[key] = min(acc.total / base, 1.0) if base > 0.0 else 0.0
-    table = RiskTable(entries)
+                    joint[i] += mass
+    table = RiskTable({key: _ratio_up(j, vertex_mass[key[1]])
+                       for key, j in zip(keys, joint)})
     table.validate(graph, reach)
     return table, checked
 
 
 def vertex_probabilities(space: ProductSpace, model: CutModel, *,
                          cap: int = ENUM_CAP) -> dict[str, float]:
-    """Pr(v in A) for every vertex, by enumeration."""
-    acc = {v: _Kahan() for v in model.digraph.vertices}
-    for point, prob in space.outcomes(cap):
-        if prob <= 0.0:
+    """Pr(v in A) for every vertex, by enumeration, correctly rounded."""
+    total = dict.fromkeys(model.digraph.vertices, 0)
+    for point, mass in space.outcomes(cap):
+        if not mass:
             continue
         for v in model.a_of(point):
-            acc[v].add(prob)
-    return {v: k.total for v, k in acc.items()}
+            total[v] += mass
+    num, den = space.unit
+    return {v: m * num / den for v, m in total.items()}
 
 
 # ---------------------------------------------------------------- JSON I/O

@@ -525,6 +525,20 @@ def test_seeded_calls_reject_a_negative_seed(argv, flag, env, tmp_path,
     assert code == 2 and out == "" and "--seed" in err
 
 
+def test_generators_reject_a_negative_seed():
+    # random.Random(-s) seeds like Random(s), so a negative seed would
+    # alias the instance of its absolute value
+    from localcut import instances
+
+    for seed in (-1, -5):
+        with pytest.raises(ValueError, match="seed >= 0"):
+            instances.random_graph_max_degree(20, 3, 30, seed)
+        with pytest.raises(ValueError, match="seed >= 0"):
+            instances.random_regular_uniform_hypergraph(6, 3, 1, seed)
+    assert instances.random_graph_max_degree(20, 3, 30, 0).edges
+    assert instances.random_regular_uniform_hypergraph(6, 3, 1, 0).edges
+
+
 def test_internal_fault_exits_4(monkeypatch, capsys):
     from localcut import samplers
     monkeypatch.setattr(samplers, "verify_proper_2coloring",

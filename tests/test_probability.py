@@ -1,5 +1,7 @@
 """Product spaces, exact enumeration, conditioning, risk tables."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,7 @@ from corpus import corpus
 
 
 def biased_pair():
-    # dyadic weights so the Fraction path sums to exactly 1
+    # dyadic weights, so every probability here is a float
     return ProductSpace.build([
         ("x", [0, 1], [0.25, 0.75]),
         ("y", ["a", "b", "c"], [0.5, 0.25, 0.25]),
@@ -33,13 +35,16 @@ def test_space_build_rejects_bad_input():
         ProductSpace.build([("x", [0, 1], [-0.5, 1.5])])
     with pytest.raises(SpaceError):
         ProductSpace.build([("x", [0, 1], [0.3, 0.3])])
+    with pytest.raises(SpaceError, match="'x' has a non-finite weight"):
+        ProductSpace.build([("x", [0, 1], [math.nan, 0.5])])
 
 
 def test_outcomes_sum_to_one():
     space = biased_pair()
     assert space.n_outcomes == 6
-    assert sum(p for _, p in space.outcomes()) == pytest.approx(1.0, abs=1e-15)
-    assert sum(p for _, p in space.outcomes_exact()) == Fraction(1)
+    num, den = space.unit
+    assert Fraction(sum(m for _, m in space.outcomes()) * num, den) == 1
+    assert exact_prob(space, lambda pt: True) == 1.0
 
 
 def test_enumeration_cap():
@@ -49,6 +54,18 @@ def test_enumeration_cap():
     assert len(list(space.outcomes(cap=256))) == 256
 
 
+def fraction_prob(space, event):
+    """Pr(event) summed in Fractions of the float weights."""
+    total = Fraction(0)
+    for combo in itertools.product(*(zip(v.values, v.weights)
+                                     for v in space.variables)):
+        point = {v.name: value for v, (value, _) in zip(space.variables, combo)}
+        if event(point):
+            total += math.prod((Fraction(w) for _, w in combo),
+                               start=Fraction(1))
+    return total
+
+
 def test_exact_prob_matches_rational_enumeration():
     space = biased_pair()
 
@@ -56,8 +73,8 @@ def test_exact_prob_matches_rational_enumeration():
         return pt["x"] == 1 and pt["y"] != "a"
 
     want = Fraction(3, 4) * Fraction(1, 2)
-    assert exact_prob(space, event, exact=True) == want
-    assert exact_prob(space, event) == pytest.approx(float(want), abs=1e-15)
+    assert fraction_prob(space, event) == want
+    assert exact_prob(space, event) == float(want)
 
 
 def test_cond_prob_and_zero_condition_convention():
@@ -69,11 +86,9 @@ def test_cond_prob_and_zero_condition_convention():
     def given(pt):
         return pt["x"] == 1
 
-    assert cond_prob(space, event, given) == pytest.approx(0.25, abs=1e-15)
-    assert cond_prob(space, event, given, exact=True) == Fraction(1, 4)
+    assert cond_prob(space, event, given) == 0.25
     # impossible condition contributes probability 0, not an error
     assert cond_prob(space, event, lambda pt: False) == 0.0
-    assert cond_prob(space, event, lambda pt: False, exact=True) == Fraction(0)
 
 
 def test_float_enumeration_tracks_exact_on_many_variables():
@@ -83,8 +98,15 @@ def test_float_enumeration_tracks_exact_on_many_variables():
     def event(pt):
         return sum(pt.values()) % 3 == 0
 
-    want = exact_prob(space, event, exact=True)
-    assert exact_prob(space, event) == pytest.approx(float(want), abs=1e-13)
+    def given(pt):
+        return pt["b0"] == 1
+
+    # float(Fraction) rounds correctly, as the enumeration must
+    want = fraction_prob(space, event)
+    assert exact_prob(space, event) == float(want)
+    assert cond_prob(space, event, given) == float(
+        fraction_prob(space, lambda pt: event(pt) and given(pt))
+        / fraction_prob(space, given))
 
 
 def test_estimate_cond_prob_is_deterministic_and_calibrated():
@@ -157,7 +179,7 @@ def test_vertex_probabilities_match_exact_prob():
     for v in inst.graph.vertices:
         want = exact_prob(inst.space,
                           lambda pt, v=v: v in inst.model.a_of(pt))
-        assert probs[v] == pytest.approx(want, abs=1e-14)
+        assert probs[v] == want
 
 
 def test_risk_table_validation():

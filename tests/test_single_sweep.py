@@ -4,29 +4,34 @@ The exact risk table and the cut-model check come from one sweep; the
 nonrepetitive model's A and F come from slice comparisons; family
 validation works on bitsets.  Each reference below is the plain
 definition, run as its own pass, so results must agree exactly: tables
-with ==, checks field for field.
+with ==, checks field for field.  The probability references take the
+float weights as `fractions.Fraction`s, sum exact numerators, and round
+each ratio up to the least float at or above it.
 """
 
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import localcut
 from localcut.cli import main
+from localcut.core import ENUM_CAP
 from localcut.digraph import MultiDigraph, head_reach, underlying_simple
 from localcut.engine import build_nonrep_instance
-from localcut.families import (FamilyInstance, all_subsets, boundary,
-                               check_family_condition, family_of,
-                               hypergraph_coloring_family, tau_of_set,
-                               validate_family_instance)
-from localcut.instances import Hypergraph
+from localcut.families import (FamilyInstance, _worst_conditional,
+                               all_subsets, boundary, check_family_condition,
+                               family_of, hypergraph_coloring_family,
+                               tau_of_set, validate_family_instance)
+from localcut.instances import Hypergraph, random_regular_uniform_hypergraph
 from localcut.probability import (CutModel, EnumerationCapError, ModelCheck,
-                                  ProductSpace, _Kahan, risk_table_exact,
+                                  ProductSpace, risk_table_exact,
                                   validate_cut_model)
 
 from corpus import corpus
@@ -34,30 +39,56 @@ from corpus import corpus
 
 # ------------------------------------------------ two-pass cut reference
 
-def reference_table(space, model):
-    """Risk entries by their own sweep; unknown edges add no mass."""
+def exact_outcomes(space):
+    """Every outcome in the order of ProductSpace.outcomes, as (sample
+    point, numerator), and the common denominator: with the float weights
+    taken as Fractions, an outcome's probability is numerator / scale."""
+    names = [v.name for v in space.variables]
+    columns, scale = [], 1
+    for v in space.variables:
+        exact = [Fraction(w) for w in v.weights]
+        den = math.lcm(*(q.denominator for q in exact))
+        columns.append([(value, int(q * den))
+                        for value, q in zip(v.values, exact)])
+        scale *= den
+    return [(dict(zip(names, (value for value, _ in combo))),
+             math.prod(num for _, num in combo))
+            for combo in itertools.product(*columns)], scale
+
+
+def round_up(q):
+    """The least float >= the rational q."""
+    x = float(q)                        # correctly rounded to nearest
+    return math.nextafter(x, math.inf) if Fraction(x) < q else x
+
+
+def exact_table(space, model):
+    """Risk entries as exact rationals, by their own sweep; unknown edges
+    add no mass."""
     graph = model.digraph
     reach = head_reach(graph)
-    vertex_mass = {v: _Kahan() for v in graph.vertices}
-    joint = {(e.id, z): _Kahan() for e in graph.edges for z in reach[e.head]}
-    for point, prob in space.outcomes():
-        if prob <= 0.0:
+    vertex_mass = dict.fromkeys(graph.vertices, 0)
+    joint = dict.fromkeys(((e.id, z) for e in graph.edges
+                           for z in reach[e.head]), 0)
+    for point, prob in exact_outcomes(space)[0]:
+        if not prob:
             continue
         inside = model.a_of(point)
         chosen = model.f_of(point)
         for v in inside:
-            vertex_mass[v].add(prob)
+            vertex_mass[v] += prob
         for eid in chosen:
             if eid not in graph.edge_by_id:
                 continue
             for z in reach[graph.edge_by_id[eid].head]:
                 if z in inside:
-                    joint[(eid, z)].add(prob)
-    entries = {}
-    for (eid, z), acc in joint.items():
-        base = vertex_mass[z].total
-        entries[(eid, z)] = min(acc.total / base, 1.0) if base > 0.0 else 0.0
-    return entries
+                    joint[(eid, z)] += prob
+    return {(eid, z): Fraction(mass, vertex_mass[z]) if vertex_mass[z]
+            else Fraction(0) for (eid, z), mass in joint.items()}
+
+
+def reference_table(space, model):
+    return {key: round_up(q) for key, q in exact_table(space, model).items()}
 
 
 def reference_check(space, model):
@@ -67,8 +98,8 @@ def reference_check(space, model):
     arcs_by_head = {}
     for (tail, head), eids in graph.edges_by_arc.items():
         arcs_by_head.setdefault(head, []).append((tail, eids))
-    for point, prob in space.outcomes():
-        if prob <= 0.0:
+    for point, mass in space.outcomes():
+        if not mass:
             continue
         inside = model.a_of(point)
         for tail, head in simple.arcs:
@@ -125,6 +156,62 @@ def test_fused_sweep_matches_two_passes_on_nonrep():
         assert_fused_matches(inst.space, inst.model)
     bound = build_nonrep_instance(nonrep_cases()[-1], risk_mode="bound")
     assert bound.model_check is None
+
+
+def oracle_lists():
+    """Nonrep list assignments of n <= 8 positions: uniform lists of 3, and
+    list sizes of 2 to 4 with at most 3^8 outcomes."""
+    rng = random.Random(18)
+    cases = [[["x", "y", "z"]] * n for n in range(1, 9)]
+    for n in range(2, 9):
+        sizes = [rng.randint(2, 4) for _ in range(n)]
+        while math.prod(sizes) > 3 ** 8:
+            sizes[rng.randrange(n)] = 2
+        cases.append([rng.sample("abcd", size) for size in sizes])
+    return cases
+
+
+def test_nonrep_risk_entries_are_exact_ratios_rounded_up():
+    # a nearest quotient below its ratio would understate a risk: the
+    # cases must hold such entries, so rounding to nearest fails here
+    below = 0
+    for lists in oracle_lists():
+        inst = build_nonrep_instance(lists, risk_mode="exact")
+        exact = exact_table(inst.space, inst.model)
+        assert inst.risks.entries == {k: round_up(q) for k, q in exact.items()}
+        below += sum(Fraction(float(q)) < q for q in exact.values())
+    assert below > 0
+
+
+def test_hypcol2_worst_conditionals_are_exact_ratios_rounded_up():
+    below = 0
+    for n, k, d, colors in [(4, 2, 1, 2), (6, 3, 1, 2), (6, 3, 2, 2),
+                            (6, 2, 1, 3), (6, 3, 1, 3), (8, 4, 1, 2)]:
+        fam, witnesses = hypergraph_coloring_family(
+            random_regular_uniform_hypergraph(n, k, d, seed=n + d), colors)
+        for elem, bundle in fam.events.items():
+            for label, event in bundle:
+                w = witnesses[(elem, label)]
+                exact = exact_worst_conditional(fam, event, w)
+                assert _worst_conditional(fam, event, w, ENUM_CAP) == \
+                    round_up(exact)
+                below += Fraction(float(exact)) < exact
+    assert below > 0
+
+
+def test_outcome_masses_are_exact_probabilities():
+    spaces = [ProductSpace.uniform([("a", [0, 1, 2]), ("b", "xyzw")]),
+              ProductSpace.build([("a", [0, 1], [0.1, 0.9]),
+                                  ("b", [0, 1, 2], [1 / 3, 1 / 6, 0.5]),
+                                  ("c", [0, 1], [1.0, 0.0])])]
+    for space in spaces:
+        num, den = space.unit
+        want, scale = exact_outcomes(space)
+        assert [(point, Fraction(mass * num, den))
+                for point, mass in space.outcomes()] == \
+            [(point, Fraction(prob, scale)) for point, prob in want]
+    # uniform variables: every outcome weighs 1, the sweep counts
+    assert {mass for _, mass in spaces[0].outcomes()} == {1}
 
 
 def test_fused_check_matches_on_bad_models():
@@ -284,8 +371,8 @@ def reference_boundary(family, ground):
 
 
 def reference_validate(inst):
-    for point, prob in inst.space.outcomes():
-        if prob <= 0.0:
+    for point, mass in inst.space.outcomes():
+        if not mass:
             continue
         try:
             edge = reference_boundary(family_of(inst, point), inst.ground)
@@ -335,20 +422,25 @@ def test_family_validation_matches_frozenset_reference():
     assert "no true event" in assert_validation_matches(holes).reason
 
 
-def reference_worst_conditional(inst, event, witness):
+def exact_worst_conditional(inst, event, witness):
     """Max over Z outside the witness of Pr(event | Z is a member), by
-    asking `member` about Z on every outcome, one pass per Z."""
-    worst = 0.0
+    asking `member` about Z on every outcome, one exact pass per Z."""
+    worst = Fraction(0)
+    outcomes, _ = exact_outcomes(inst.space)
     for z in all_subsets([i for i in inst.ground if i not in witness]):
-        base, joint = _Kahan(), _Kahan()
-        for point, prob in inst.space.outcomes():
-            if prob > 0.0 and inst.member(point, z):
-                base.add(prob)
+        base = joint = 0
+        for point, prob in outcomes:
+            if prob and inst.member(point, z):
+                base += prob
                 if event(point):
-                    joint.add(prob)
-        if base.total > 0.0:
-            worst = max(worst, joint.total / base.total)
+                    joint += prob
+        if base:
+            worst = max(worst, Fraction(joint, base))
     return worst
+
+
+def reference_worst_conditional(inst, event, witness):
+    return round_up(exact_worst_conditional(inst, event, witness))
 
 
 def assert_conditionals_match(inst, witnesses):
