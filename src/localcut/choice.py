@@ -18,11 +18,9 @@ from collections import Counter
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .core import TOL
+from .core import CHOICE_CAP, TOL
 from .instances import Graph
 from .rng import Generator, pairwise_sum
-
-RESAMPLE_CAP = 10 ** 4
 
 
 class ChoiceError(ValueError):
@@ -226,7 +224,7 @@ def check_expectation_condition(inst: ChoiceInstance,
     gap = max((abs(a - b) for a, b in zip(sum_margins, tau_margins)),
               default=0.0)
     scale = max([1.0] + [abs(m) for m in sum_margins])
-    if gap > 1e-12 * scale:
+    if gap > TOL * scale:
         raise RuntimeError(f"the two condition forms disagree by {gap}")
     feasible = all(m >= -tol for m in sum_margins)
     return ExpectationReport(feasible, tuple(sum_margins),
@@ -242,7 +240,7 @@ class ChoiceSearchResult(NamedTuple):
 
 
 def randomized_choice_search(inst: ChoiceInstance, weights: MarginalWeights,
-                             seed: int, cap: int = RESAMPLE_CAP,
+                             seed: int, cap: int = CHOICE_CAP,
                              report: ExpectationReport | None = None
                              ) -> ChoiceSearchResult:
     """Sample each universe by its normalized marginals, then repeatedly

@@ -13,8 +13,9 @@ kinds of outcome so parameter scans can branch on them:
 
 Reports are byte-stable for identical inputs: JSON with sorted keys and
 floats at 17 significant digits, or CSV with a fixed per-subcommand
-header.  Numeric flags fall back to LOCALCUT_* environment variables
-before built-in defaults.
+header.  Every setting (--tol, --cap, --seed, --jobs, --format, --out)
+falls back to its LOCALCUT_* environment variable, then to the
+subcommand's default, and is range-checked before any input is read.
 """
 
 from __future__ import annotations
@@ -30,16 +31,14 @@ from typing import Mapping, Sequence
 
 # Only the shared core loads with the command line; each handler imports
 # what it runs, so a call loads only its own modules.
-from .core import (ENUM_CAP, ITER_CAP, TOL, EnumerationCapError,
-                   IndeterminateError, UsageError)
+from .core import (CHOICE_CAP, ENUM_CAP, ITER_CAP, SAMPLE_CAP, TOL,
+                   EnumerationCapError, IndeterminateError, UsageError)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
 EXIT_INTERNAL = 4
-
-_ENV_PREFIX = "LOCALCUT_"
 
 
 def __getattr__(name: str):
@@ -117,31 +116,41 @@ def emit_report(report: Mapping, rows: Sequence[Mapping], fmt: str,
         sys.stdout.write(text)
 
 
-# -------------------------------------------------------- config helpers
+# --------------------------------------------------------------- settings
 
-def _env(name: str, cast, fallback):
-    raw = os.environ.get(_ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise UsageError(f"bad {_ENV_PREFIX}{name}={raw!r}") from exc
-
-
-def _setting(args, attr: str, env_name: str, cast, fallback):
-    value = getattr(args, attr, None)
-    if value is not None:
-        return value
-    return _env(env_name, cast, fallback)
+# per setting: its type, the values it takes (a number's finite least
+# value, a string's choices or None for any string), and those in words
+_SETTINGS = {
+    "tol": (float, 0.0, "a finite number >= 0"),
+    "cap": (int, 0, "at least 0"),
+    "seed": (int, 0, "at least 0"),
+    "jobs": (int, 1, "at least 1"),
+    "format": (str, ("json", "csv"), "json or csv"),
+    "out": (str, None, "a path"),
+}
 
 
-def _seed(args) -> int:
-    seed = _setting(args, "seed", "SEED", int, 0)
-    if seed < 0:
-        raise UsageError(f"--seed (or {_ENV_PREFIX}SEED) must be at least 0, "
-                         f"got {seed}")
-    return seed
+def _resolve(args) -> None:
+    """Set each setting the subcommand declares from its flag, else its
+    LOCALCUT_* variable, else its default; raise UsageError for a value
+    out of range, before the handler reads any input."""
+    for name, default in args.settings.items():
+        cast, bound, rule = _SETTINGS[name]
+        env = "LOCALCUT_" + name.upper()
+        value = getattr(args, name)
+        if value is None:
+            value = os.environ.get(env, default)
+        try:
+            value = cast(value)
+        except ValueError:
+            ok = False
+        else:
+            ok = (bound is None or value in bound if cast is str
+                  else bound <= value < math.inf)
+        if not ok:
+            raise UsageError(f"--{name} (or {env}) must be {rule}, "
+                             f"got {value!r}")
+        setattr(args, name, value)
 
 
 def _load_json(path: str):
@@ -183,8 +192,7 @@ def _run_check_lcl(args):
     graph = digraph_from_json(data["digraph"])
     risks = risk_table_from_json({"risks": data.get("risks", [])})
     inst = engine.CutInstance.build(graph, risks)
-    tol = _setting(args, "tol", "TOL", float, TOL)
-    cap = _setting(args, "cap", "CAP", int, ITER_CAP)
+    tol = args.tol
     if args.weights:
         obj = _load_json(args.weights)
         weights = _parse_weights(
@@ -193,7 +201,7 @@ def _run_check_lcl(args):
             "weight", "arc")
         mode, iterations, failed = "check", 0, EXIT_NEGATIVE
     else:
-        res = engine.least_weight_solution(inst, tol, cap)
+        res = engine.least_weight_solution(inst, tol, args.cap)
         if res.status == "diverged":
             report = {"subcommand": "check-lcl", "mode": "solve",
                       "feasible": False, "status": "diverged",
@@ -246,14 +254,13 @@ def _run_check_family(args):
 
     data = _load_json(args.instance)
     ground, terms = _family_terms(data)
-    tol = _setting(args, "tol", "TOL", float, TOL)
-    cap = _setting(args, "cap", "CAP", int, ITER_CAP)
+    tol = args.tol
     if "tau" in data:
         tau = _parse_weights(data["tau"], {i: i for i in ground}, "tau",
                              "element")
         mode, iterations, failed = "check", 0, EXIT_NEGATIVE
     else:
-        res = families.least_tau_solution(ground, terms, tol, cap)
+        res = families.least_tau_solution(ground, terms, tol, args.cap)
         if res.status == "diverged":
             report = {"subcommand": "check-family", "mode": "solve",
                       "feasible": False, "status": "diverged",
@@ -276,10 +283,9 @@ def _run_check_lll(args):
 
     inst = lll.instance_from_json(_load_json(args.instance),
                                   levels=not args.auto_mu)
-    tol = _setting(args, "tol", "TOL", float, TOL)
+    tol = args.tol
     if args.auto_mu:
-        cap = _setting(args, "cap", "CAP", int, ITER_CAP)
-        res = lll.auto_mu(inst.probs, inst.gamma, tol, cap)
+        res = lll.auto_mu(inst.probs, inst.gamma, tol, args.cap)
         report = {"subcommand": "check-lll", "mode": "auto-mu",
                   "feasible": False, "iterations": res.iterations,
                   "mu": None}
@@ -312,8 +318,7 @@ def _feasibility_payload(result) -> dict:
 def _run_threshold(args):
     from . import thresholds
 
-    app = args.application
-    tol = _setting(args, "tol", "TOL", float, TOL)
+    app, tol = args.application, args.tol
     report: dict = {"subcommand": "threshold", "application": app}
     rows: list[dict] = []
     code = EXIT_OK
@@ -371,14 +376,18 @@ def _run_threshold(args):
     else:                                        # critical
         if args.k is None:
             raise UsageError("critical needs --k")
+        point = {"--c": args.c, "--tau": args.tau, "--z": args.z}
+        missing = [flag for flag, value in point.items() if value is None]
+        if 0 < len(missing) < len(point):
+            raise UsageError("critical checks a point only with --c, --tau "
+                             f"and --z; missing {' and '.join(missing)}")
         slack = thresholds.critical_min_slack(args.k)
         report.update({"k": args.k, "c_min": slack.c_min,
                        "default_c": slack.default_c,
                        "default_c_ok": slack.default_c_ok})
         rows = [{"k": args.k, "c_min": slack.c_min,
                  "default_c": slack.default_c}]
-        if args.c is not None and args.tau is not None \
-                and args.z is not None:
+        if not missing:
             got = thresholds.critical_condition_check(
                 args.k, args.c, args.tau, args.z)
             report["at_point"] = {
@@ -392,18 +401,16 @@ def _run_threshold(args):
 
 
 def _run_choice(args):
-    from .choice import (RESAMPLE_CAP, ChoiceError,
-                         check_expectation_condition, choice_from_json,
-                         marginals_from_json, randomized_choice_search)
+    from .choice import (ChoiceError, check_expectation_condition,
+                         choice_from_json, marginals_from_json,
+                         randomized_choice_search)
 
-    seed = _seed(args)
     data = _load_json(args.instance)
     inst = choice_from_json(data)
     if "p" not in data:
         raise ChoiceError('instance needs a "p" weight map')
     weights = marginals_from_json(inst, data["p"])
-    tol = _setting(args, "tol", "TOL", float, TOL)
-    rep = check_expectation_condition(inst, weights, tol)
+    rep = check_expectation_condition(inst, weights, args.tol)
     report = {"subcommand": "choice", "feasible": rep.feasible,
               "margins": list(rep.sum_margins),
               "equivalence_gap": rep.equivalence_gap}
@@ -411,8 +418,7 @@ def _run_choice(args):
             for i, m in enumerate(rep.sum_margins)]
     if not rep.feasible:
         return EXIT_NEGATIVE, report, rows
-    cap = _setting(args, "cap", "CAP", int, RESAMPLE_CAP)
-    found = randomized_choice_search(inst, weights, seed, cap, rep)
+    found = randomized_choice_search(inst, weights, args.seed, args.cap, rep)
     report.update({"status": found.status, "resamples": found.resamples,
                    "choice": list(found.choice) if found.choice else None})
     if found.status != "found":
@@ -440,15 +446,10 @@ def _run_sample(args):
     draw = {"2col": samplers.moser_tardos_two_coloring,
             "nonrep-seq": samplers.nonrep_sequence_build,
             "acyclic": samplers.greedy_acyclic_edge_coloring}[kind]
-    seed = _seed(args)
-    cap = _setting(args, "cap", "CAP", int, samplers.RESAMPLE_CAP)
-    jobs = _setting(args, "jobs", "JOBS", int, 1)
+    seed, cap, jobs = args.seed, args.cap, args.jobs
     runs = 1 if args.runs is None else args.runs
     if runs < 1:
         raise UsageError(f"--runs must be at least 1, got {runs}")
-    if jobs < 1:
-        raise UsageError(f"--jobs (or {_ENV_PREFIX}JOBS) must be at least 1, "
-                         f"got {jobs}")
     if args.edges is not None and args.edges < 1:
         raise UsageError(f"--edges must be at least 1, got {args.edges}")
     if kind == "2col":
@@ -521,7 +522,7 @@ def _run_validate_model(args):
                             lists_from_json,
                             random_regular_uniform_hypergraph)
 
-    cap = _setting(args, "cap", "CAP", int, ENUM_CAP)
+    cap = args.cap
     if args.builder == "nonrep":
         if args.instance:
             lists = lists_from_json(_load_json(args.instance))
@@ -551,9 +552,8 @@ def _run_validate_model(args):
     else:
         if args.n is None or args.k is None or args.d is None:
             raise UsageError("hypcol2 needs --instance or --n --k --d")
-        seed = _seed(args)
         hypergraph = random_regular_uniform_hypergraph(
-            args.n, args.k, args.d, seed)
+            args.n, args.k, args.d, args.seed)
     from . import families
 
     colors = 2 if args.colors is None else args.colors
@@ -600,30 +600,29 @@ def _build_parser() -> argparse.ArgumentParser:
                     "cut-based probabilistic feasibility conditions.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, *settings, instance=True):
-        """--format, --out and the named numeric settings, which are the
-        ones the subcommand's handler reads."""
+    def common(p, instance=True, **settings):
+        """--format, --out and the named settings, which are the ones the
+        subcommand's handler reads, each with its default."""
         if instance:
             p.add_argument("instance", help="instance JSON file")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--out", default=None, help="output path")
+        settings = {"format": "json", "out": "", **settings}
         for name in settings:
-            p.add_argument(f"--{name}", type=float if name == "tol" else int,
-                           default=None)
+            p.add_argument(f"--{name}", type=_SETTINGS[name][0], default=None)
+        p.set_defaults(settings=settings)
 
     p = sub.add_parser("check-lcl", help="check or solve arc weights")
-    common(p, "tol", "cap")
+    common(p, tol=TOL, cap=ITER_CAP)
     p.add_argument("--weights", default=None,
                    help="weights JSON; omit to solve for the least ones")
     p.set_defaults(handler=_run_check_lcl)
 
     p = sub.add_parser("check-family",
                        help="check or solve per-element weights")
-    common(p, "tol", "cap")
+    common(p, tol=TOL, cap=ITER_CAP)
     p.set_defaults(handler=_run_check_family)
 
     p = sub.add_parser("check-lll", help="product-form condition check")
-    common(p, "tol", "cap")
+    common(p, tol=TOL, cap=ITER_CAP)
     p.add_argument("--auto-mu", action="store_true",
                    help="iterate slack parameters from the probabilities")
     p.set_defaults(handler=_run_check_lll)
@@ -632,7 +631,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("application",
                    choices=("hypcol", "sequence", "chromatic", "acyclic",
                             "critical"))
-    common(p, "tol", instance=False)
+    common(p, instance=False, tol=TOL)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--delta", type=int, default=None)
@@ -646,12 +645,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_run_threshold)
 
     p = sub.add_parser("choice", help="expectation condition + search")
-    common(p, "tol", "seed", "cap")
+    common(p, tol=TOL, seed=0, cap=CHOICE_CAP)
     p.set_defaults(handler=_run_choice)
 
     p = sub.add_parser("sample", help="randomized constructions")
     p.add_argument("kind", choices=("2col", "nonrep-seq", "acyclic"))
-    common(p, "seed", "cap", "jobs", instance=False)
+    common(p, instance=False, seed=0, cap=SAMPLE_CAP, jobs=1)
     p.add_argument("--instance", default=None, help="instance JSON file")
     p.add_argument("--runs", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
@@ -666,7 +665,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-model",
                        help="exhaustively validate a built model")
     p.add_argument("builder", choices=("nonrep", "hypcol2"))
-    common(p, "seed", "cap", instance=False)
+    common(p, instance=False, seed=0, cap=ENUM_CAP)
     p.add_argument("--instance", default=None, help="instance JSON file")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
@@ -694,6 +693,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exit_:
         return exit_.code if isinstance(exit_.code, int) else EXIT_USAGE
     try:
+        _resolve(args)
         code, report, rows = args.handler(args)
     except (IndeterminateError, EnumerationCapError) as exc:
         print(f"indeterminate: {exc}", file=sys.stderr)
@@ -706,13 +706,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
-    fmt = _setting(args, "format", "FORMAT", str, "json")
-    if fmt not in ("json", "csv"):
-        print(f"error: unknown format {fmt!r}", file=sys.stderr)
-        return EXIT_USAGE
-    out = _setting(args, "out", "OUT", str, None)
     try:
-        emit_report(report, rows, fmt, out)
+        emit_report(report, rows, args.format, args.out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

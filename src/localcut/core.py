@@ -10,9 +10,11 @@ from operator import sub
 from typing import Callable, Mapping, NamedTuple
 
 TOL = 1e-12
-ITER_CAP = 10 ** 5
-VALUE_CAP = 1e9
-ENUM_CAP = 1 << 22
+ITER_CAP = 10 ** 5            # operator applications of one solve
+VALUE_CAP = 1e9               # an iterate entry past it has diverged
+ENUM_CAP = 1 << 22            # outcomes of one enumeration
+SAMPLE_CAP = 10 ** 5          # draws or resamples of one sampler run
+CHOICE_CAP = 10 ** 4          # resamples of one choice search
 
 
 class UsageError(ValueError):

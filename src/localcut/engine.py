@@ -175,19 +175,17 @@ def check_weight_condition(inst: CutInstance, weights: Mapping[Arc, float],
 
 
 def least_weight_solution(inst: CutInstance, tol: float = TOL,
-                          iter_cap: int = ITER_CAP,
-                          value_cap: float = VALUE_CAP) -> FixedPointResult:
+                          iter_cap: int = ITER_CAP) -> FixedPointResult:
     """Iterate the risk operator from the zero function.
 
     The chain increases pointwise and sits below every feasible weight
     function, so it either converges to the least solution, blows past
-    value_cap when none exists, or runs out of iterations (indeterminate,
+    VALUE_CAP when none exists, or runs out of iterations (indeterminate,
     raised as IndeterminateError).  Converged weights are the last
     iterate; check_weight_condition judges them.
     """
     return kleene(lambda w: apply_risk_operator(inst, w),
-                  dict.fromkeys(inst.simple.arcs, 0.0), tol, iter_cap,
-                  value_cap)
+                  dict.fromkeys(inst.simple.arcs, 0.0), tol, iter_cap)
 
 
 class ArcBound(NamedTuple):
@@ -261,7 +259,7 @@ def telescoping_check(a: Sequence[float], b: Sequence[float],
     for x, y in zip(a, b):
         if x < 0.0:
             raise ValueError(f"a entry {x} is negative")
-        if y < max(x, 1.0) - 1e-12:
+        if y < max(x, 1.0) - TOL:
             raise ValueError(f"b entry {y} is below max(a, 1) = {max(x, 1.0)}")
     lhs = 0.0
     prefix = 1.0

@@ -21,7 +21,7 @@ import itertools
 import math
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .core import (ENUM_CAP, ITER_CAP, TOL, VALUE_CAP, EnumerationCapError,
+from .core import (ENUM_CAP, ITER_CAP, TOL, EnumerationCapError,
                    FixedPointResult, WeightReport, check_margins, kleene)
 from .digraph import MultiDigraph
 from .instances import Hypergraph
@@ -29,6 +29,7 @@ from .probability import (CutModel, Event, ProductSpace, SamplePoint,
                           _ratio_up)
 
 HYPERCUBE_MAX_GROUND = 4
+OUTSIDE_CAP = 20        # ground elements outside a witness: 2^20 sets Z
 
 Subset = frozenset
 
@@ -278,7 +279,7 @@ def check_tau_condition(ground: Sequence[str], terms: Terms,
 
 def witness_bound(inst: FamilyInstance, event: Event, witness: Subset,
                   tau: Mapping[str, float], *, p_bound: float | None = None,
-                  cap: int = ENUM_CAP, outside_cap: int = 20) -> float:
+                  cap: int = ENUM_CAP) -> float:
     """Worst conditional event probability times the witness weight product.
 
     The conditional is maximized over subsets Z disjoint from the witness
@@ -287,16 +288,16 @@ def witness_bound(inst: FamilyInstance, event: Event, witness: Subset,
     and the bound is p_bound * tau(witness).
     """
     if p_bound is None:
-        p_bound = _worst_conditional(inst, event, witness, cap, outside_cap)
+        p_bound = _worst_conditional(inst, event, witness, cap)
     return p_bound * tau_of_set(tau, witness)
 
 
 def _worst_conditional(inst: FamilyInstance, event: Event, witness: Subset,
-                       cap: int, outside_cap: int = 20) -> float:
+                       cap: int) -> float:
     outside = [i for i in inst.ground if i not in witness]
-    if len(outside) > outside_cap:
+    if len(outside) > OUTSIDE_CAP:
         raise ValueError(f"{len(outside)} outside elements exceed cap "
-                         f"{outside_cap}")
+                         f"{OUTSIDE_CAP}")
     lattice = _Lattice(outside)
     family_at = _family_reader(inst, lattice)
     # per Z, by mask: the mass of the outcomes where Z is a member
@@ -339,21 +340,18 @@ class FamilyConditionReport(NamedTuple):
 
 
 def check_family_condition(inst: FamilyInstance, tau: Mapping[str, float],
-                           witnesses: WitnessMap, *,
-                           p_bounds: Mapping[tuple[str, str], float] | None = None,
-                           tol: float = TOL,
+                           witnesses: WitnessMap, *, tol: float = TOL,
                            cap: int = ENUM_CAP) -> FamilyConditionReport:
     """Per-element margins of the weight condition, and the implied bound.
-    An event's term is (p, witness), p its p_bounds entry or else the worst
-    conditional probability that witness_bound enumerates."""
+    An event's term is (p, witness), p the worst conditional probability
+    that witness_bound enumerates."""
     _check_witnesses(inst, witnesses)
     terms: dict[str, list] = {elem: [] for elem in inst.ground}
     sigma: dict[tuple[str, str], float] = {}
     for elem in inst.ground:
         for label, event in inst.events[elem]:
             witness = witnesses[(elem, label)]
-            p = (_worst_conditional(inst, event, witness, cap)
-                 if p_bounds is None else p_bounds[(elem, label)])
+            p = _worst_conditional(inst, event, witness, cap)
             terms[elem].append((p, witness))
             sigma[(elem, label)] = p * tau_of_set(tau, witness)
     rep = check_tau_condition(inst.ground, terms, tau, tol)
@@ -424,15 +422,15 @@ def hypercube_digraph(inst: FamilyInstance,
 # ----------------------------------------------------- least tau solutions
 
 def least_tau_solution(ground: Sequence[str], terms: Terms,
-                       tol: float = TOL, iter_cap: int = ITER_CAP,
-                       value_cap: float = VALUE_CAP) -> FixedPointResult:
+                       tol: float = TOL,
+                       iter_cap: int = ITER_CAP) -> FixedPointResult:
     """Least tau with tau(i) = 1 + sum of p * tau(witness) per element.
 
     terms[i] lists (probability bound, witness set) pairs; each witness
     must contain i, and its weights multiply in its iteration order.  Same
     contract as the arc-weight iteration: increasing chain from the zero
     function, convergence to the least solution, divergence verdict past
-    value_cap, IndeterminateError at the iteration cap.
+    VALUE_CAP, IndeterminateError at the iteration cap.
     """
     known = set(ground)
     for elem in ground:
@@ -447,21 +445,20 @@ def least_tau_solution(ground: Sequence[str], terms: Terms,
                 raise ValueError("negative probability bound")
 
     return kleene(lambda tau: apply_tau_operator(ground, terms, tau),
-                  dict.fromkeys(ground, 0.0), tol, iter_cap, value_cap)
+                  dict.fromkeys(ground, 0.0), tol, iter_cap)
 
 
 # ------------------------------------------- proper-coloring family builder
 
-def hypergraph_coloring_family(hypergraph: Hypergraph, colors: int = 2,
-                               *, witness_drop: bool = True
+def hypergraph_coloring_family(hypergraph: Hypergraph, colors: int = 2
                                ) -> tuple[FamilyInstance, WitnessMap]:
     """Family of vertex subsets containing no monochromatic edge, under a
     uniform random coloring.
 
     Each vertex's bundle has one event per incident edge: that edge is
-    monochromatic.  Default witnesses drop one other vertex from the edge
-    (witness_drop=True); otherwise the whole edge is the witness.  An
-    outcome's blockers are its monochromatic edges.
+    monochromatic.  Its witness is the edge less its largest other vertex,
+    or the whole edge when that is the vertex alone.  An outcome's
+    blockers are its monochromatic edges.
     """
     if colors < 2:
         raise ValueError("need at least two colors")
@@ -501,7 +498,7 @@ def hypergraph_coloring_family(hypergraph: Hypergraph, colors: int = 2,
         ev = mono_event(edge)
         for v in edge:
             events[v].append((label, ev))
-            if witness_drop and len(edge) >= 2:
+            if len(edge) >= 2:
                 dropped = max(u for u in edge if u != v)
                 witnesses[(v, label)] = frozenset(edge - {dropped})
             else:

@@ -14,13 +14,11 @@ import itertools
 import math
 from typing import Callable, Iterator, Mapping, NamedTuple
 
-from .core import ENUM_CAP, EnumerationCapError
+from .core import ENUM_CAP, TOL, EnumerationCapError
 from .digraph import MultiDigraph, head_reach, underlying_simple
 
 SamplePoint = dict
 Event = Callable[[SamplePoint], bool]
-
-WEIGHT_SUM_TOL = 1e-12
 
 
 class SpaceError(ValueError):
@@ -38,17 +36,18 @@ class ProductSpace(NamedTuple):
     """Independent named variables, each with a finite weighted value set.
 
     An outcome's mass is the product of its values' masses, and
-    mass * num / den, with (num, den) = unit, is its probability under the
-    weights taken at their binary-float values."""
+    mass / unit is its probability: unit, the product of each variable's
+    mass sum, is the mass of the whole space, so Pr(space) = 1 exactly
+    even when a variable's float weights sum to 1 only up to TOL."""
 
     variables: tuple[Variable, ...]
-    unit: tuple[int, int]
+    unit: int
 
     @staticmethod
     def build(variables: list[tuple[str, list, list[float]]]) -> "ProductSpace":
         out = []
         seen: set[str] = set()
-        num = den = 1
+        unit = 1
         for name, values, weights in variables:
             if name in seen:
                 raise SpaceError(f"duplicate variable {name!r}")
@@ -62,7 +61,7 @@ class ProductSpace(NamedTuple):
                 raise SpaceError(f"variable {name!r} has a non-finite weight")
             if any(w < 0 for w in weights):
                 raise SpaceError(f"variable {name!r} has a negative weight")
-            if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
+            if abs(sum(weights) - 1.0) > TOL:
                 raise SpaceError(f"variable {name!r}: weights sum to "
                                  f"{sum(weights)}, not 1")
             # floats are integers over powers of two: scale the weights to
@@ -71,11 +70,11 @@ class ProductSpace(NamedTuple):
             scale = math.lcm(*(d for _, d in ratios))
             masses = [n * (scale // d) for n, d in ratios]
             common = math.gcd(*masses)
-            num *= common
-            den *= scale
+            masses = [m // common for m in masses]
+            unit *= sum(masses)
             out.append(Variable(name, tuple(values), tuple(weights),
-                                tuple(m // common for m in masses)))
-        return ProductSpace(tuple(out), (num, den))
+                                tuple(masses)))
+        return ProductSpace(tuple(out), unit)
 
     @staticmethod
     def uniform(variables: list[tuple[str, list]]) -> "ProductSpace":
@@ -132,9 +131,8 @@ def _ratio_up(joint: int, base: int) -> float:
 def exact_prob(space: ProductSpace, event: Event, *,
                cap: int = ENUM_CAP) -> float:
     """Probability of the event by full enumeration, correctly rounded."""
-    num, den = space.unit
     total = sum(mass for point, mass in space.outcomes(cap) if event(point))
-    return total * num / den
+    return total / space.unit
 
 
 def cond_prob(space: ProductSpace, event: Event, given: Event, *,
@@ -270,7 +268,7 @@ class RiskTable:
     def validate(self, graph: MultiDigraph,
                  reach: Mapping[str, frozenset[str]] | None = None) -> None:
         """Each stored pair names a known edge and a vertex reachable from
-        its head, with a value in [0, 1] up to 1e-12 of slack.  `reach`,
+        its head, with a value in [0, 1] up to TOL of slack.  `reach`,
         if given, maps every edge head to the vertices it reaches."""
         if reach is None:
             reach = head_reach(graph)
@@ -278,7 +276,7 @@ class RiskTable:
             edge = graph.edge_by_id.get(key[0])
             if edge is None or key[1] not in reach[edge.head]:
                 raise SpaceError(f"risk entry {key} is not a reachable pair")
-            if not (-1e-12 <= p <= 1.0 + 1e-12):
+            if not (-TOL <= p <= 1.0 + TOL):
                 raise SpaceError(f"risk {p} at {key} outside [0,1]")
 
 
@@ -334,8 +332,7 @@ def vertex_probabilities(space: ProductSpace, model: CutModel, *,
             continue
         for v in model.a_of(point):
             total[v] += mass
-    num, den = space.unit
-    return {v: m * num / den for v, m in total.items()}
+    return {v: m / space.unit for v, m in total.items()}
 
 
 # ---------------------------------------------------------------- JSON I/O

@@ -16,6 +16,7 @@ from itertools import compress, count, islice
 from operator import eq
 from typing import Hashable, Mapping, NamedTuple, Sequence
 
+from .core import SAMPLE_CAP as RESAMPLE_CAP
 from .instances import Graph, Hypergraph, ListAssignment
 from .rng import Generator
 
@@ -27,7 +28,6 @@ __all__ = [
     "is_nonrepetitive_coloring",
 ]
 
-RESAMPLE_CAP = 10 ** 5
 DRAW_CAP = 10 ** 6
 PATH_BUDGET = 10 ** 6
 

@@ -371,6 +371,17 @@ def test_threshold_chromatic_and_critical(capsys):
     assert code == 1 and not json.loads(out)["at_point"]["all_ok"]
 
 
+@pytest.mark.parametrize("point, missing", [
+    (["--c", "3"], "--tau and --z"),
+    (["--tau", "1"], "--c and --z"),
+    (["--c", "16", "--z", "5"], "--tau"),
+])
+def test_threshold_critical_rejects_part_of_a_point(point, missing, capsys):
+    code, out, err = run(["threshold", "critical", "--k", "12", *point],
+                         capsys)
+    assert code == 2 and out == "" and err.endswith(f"missing {missing}\n")
+
+
 # ----------------------------------------------------------------- choice
 
 def test_choice_search_and_negative(tmp_path, capsys):
@@ -624,6 +635,77 @@ def test_peel_rejects_settings_it_does_not_read(tmp_path, capsys):
     code, out, err = run(["peel", path, "--k", "4", "--c", "2", "--z", "2",
                           "--tol", "1"], capsys)
     assert code == 2 and out == "" and "--tol" in err
+
+
+# --------------------------------------------------------------- settings
+
+# one valid call per subcommand, and the settings each declares besides
+# --format and --out
+SETTING_CALLS = {
+    "check-lcl": (["check-lcl", "lcl.json"], {"tol", "cap"}),
+    "check-family": (["check-family", "family.json"], {"tol", "cap"}),
+    "check-lll": (["check-lll", "lll.json"], {"tol", "cap"}),
+    "threshold": (["threshold", "sequence", "--L", "4"], {"tol"}),
+    "choice": (["choice", "choice.json"], {"tol", "seed", "cap"}),
+    "sample": (["sample", "nonrep-seq", "--n", "5", "--uniform", "4"],
+               {"seed", "cap", "jobs"}),
+    "validate-model": (["validate-model", "nonrep", "--n", "4",
+                        "--uniform", "2"], {"seed", "cap"}),
+    "peel": (["peel", "triangle.json", "--k", "4", "--c", "2", "--z", "2"],
+             set()),
+}
+
+BAD_SETTINGS = [("tol", "inf"), ("tol", "nan"), ("tol", "-1"),
+                ("cap", "-1"), ("seed", "-1"), ("jobs", "0"),
+                ("format", "yaml")]
+
+BAD_SETTING_CASES = [(argv, name, value)
+                     for argv, declared in SETTING_CALLS.values()
+                     for name, value in BAD_SETTINGS
+                     if name in declared | {"format"}]
+
+
+def test_each_subcommand_declares_its_settings():
+    from localcut.cli import _build_parser
+
+    for argv, declared in SETTING_CALLS.values():
+        settings = _build_parser().parse_args(argv).settings
+        assert set(settings) == declared | {"format", "out"}
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("argv, name, value", BAD_SETTING_CASES,
+                         ids=[f"{argv[0]}-{name}={value}"
+                              for argv, name, value in BAD_SETTING_CASES])
+def test_bad_settings_exit_2_before_any_input_is_read(
+        argv, name, value, via, tmp_path, monkeypatch, capsys):
+    from localcut import cli
+
+    def not_reached(*args):
+        raise AssertionError("input read before the settings were checked")
+
+    monkeypatch.setattr(cli, "_load_json", not_reached)
+    if via == "env":
+        monkeypatch.setenv(f"LOCALCUT_{name.upper()}", value)
+        flag = []
+    else:
+        flag = [f"--{name}", value]
+    argv = [str(tmp_path / a) if a in STARTUP_INPUTS else a for a in argv]
+    code, out, err = run([*argv, *flag], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --{name} (or LOCALCUT_{name.upper()})")
+
+
+@pytest.mark.parametrize("argv, declared", SETTING_CALLS.values(),
+                         ids=SETTING_CALLS)
+def test_zero_tol_and_cap_are_accepted(argv, declared, tmp_path, capsys):
+    for name, payload in STARTUP_INPUTS.items():
+        write(tmp_path, name, payload)
+    argv = [str(tmp_path / a) if a in STARTUP_INPUTS else a for a in argv]
+    zeros = [a for name in sorted(declared & {"tol", "cap"})
+             for a in (f"--{name}", "0")]
+    # no solve converges at tol 0; cap 0 stops it at once, indeterminate
+    assert run([*argv, *zeros], capsys)[0] in (0, 1, 3)
 
 
 # ------------------------------------------------------- output plumbing

@@ -42,9 +42,19 @@ def test_space_build_rejects_bad_input():
 def test_outcomes_sum_to_one():
     space = biased_pair()
     assert space.n_outcomes == 6
-    num, den = space.unit
-    assert Fraction(sum(m for _, m in space.outcomes()) * num, den) == 1
+    assert sum(m for _, m in space.outcomes()) == space.unit
     assert exact_prob(space, lambda pt: True) == 1.0
+
+
+def test_whole_space_has_probability_one():
+    # each variable's float weights 1/3 sum to 1 - 2**-54, not 1; nine
+    # such variables once gave Pr(space) = 0.9999999999999996
+    space = ProductSpace.uniform([(f"t{i}", [0, 1, 2]) for i in range(9)])
+    assert sum(map(Fraction, space.variables[0].weights)) == \
+        1 - Fraction(1, 2 ** 54)
+    assert exact_prob(space, lambda pt: True) == 1.0
+    assert cond_prob(space, lambda pt: True, lambda pt: True) == 1.0
+    assert exact_prob(space, lambda pt: pt["t0"] == 0) == 1 / 3
 
 
 def test_enumeration_cap():
@@ -55,14 +65,16 @@ def test_enumeration_cap():
 
 
 def fraction_prob(space, event):
-    """Pr(event) summed in Fractions of the float weights."""
+    """Pr(event) summed in Fractions of the float weights, each variable's
+    divided by their sum."""
+    columns = [[(value, Fraction(w) / sum(map(Fraction, v.weights)))
+                for value, w in zip(v.values, v.weights)]
+               for v in space.variables]
     total = Fraction(0)
-    for combo in itertools.product(*(zip(v.values, v.weights)
-                                     for v in space.variables)):
+    for combo in itertools.product(*columns):
         point = {v.name: value for v, (value, _) in zip(space.variables, combo)}
         if event(point):
-            total += math.prod((Fraction(w) for _, w in combo),
-                               start=Fraction(1))
+            total += math.prod((q for _, q in combo), start=Fraction(1))
     return total
 
 

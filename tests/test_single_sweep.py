@@ -41,12 +41,14 @@ from corpus import corpus
 
 def exact_outcomes(space):
     """Every outcome in the order of ProductSpace.outcomes, as (sample
-    point, numerator), and the common denominator: with the float weights
-    taken as Fractions, an outcome's probability is numerator / scale."""
+    point, numerator), and the common denominator: with each variable's
+    float weights taken as Fractions and divided by their sum, an
+    outcome's probability is numerator / scale."""
     names = [v.name for v in space.variables]
     columns, scale = [], 1
     for v in space.variables:
-        exact = [Fraction(w) for w in v.weights]
+        exact = [Fraction(w) / sum(map(Fraction, v.weights))
+                 for w in v.weights]
         den = math.lcm(*(q.denominator for q in exact))
         columns.append([(value, int(q * den))
                         for value, q in zip(v.values, exact)])
@@ -205,9 +207,8 @@ def test_outcome_masses_are_exact_probabilities():
                                   ("b", [0, 1, 2], [1 / 3, 1 / 6, 0.5]),
                                   ("c", [0, 1], [1.0, 0.0])])]
     for space in spaces:
-        num, den = space.unit
         want, scale = exact_outcomes(space)
-        assert [(point, Fraction(mass * num, den))
+        assert [(point, Fraction(mass, space.unit))
                 for point, mass in space.outcomes()] == \
             [(point, Fraction(prob, scale)) for point, prob in want]
     # uniform variables: every outcome weighs 1, the sweep counts
