@@ -133,7 +133,8 @@ _SETTINGS = {
 def _resolve(args) -> None:
     """Set each setting the subcommand declares from its flag, else its
     LOCALCUT_* variable, else its default; raise UsageError for a value
-    out of range, before the handler reads any input."""
+    out of range, or an --out whose directory is missing or not writable,
+    before the handler reads any input."""
     for name, default in args.settings.items():
         cast, bound, rule = _SETTINGS[name]
         env = "LOCALCUT_" + name.upper()
@@ -151,6 +152,9 @@ def _resolve(args) -> None:
             raise UsageError(f"--{name} (or {env}) must be {rule}, "
                              f"got {value!r}")
         setattr(args, name, value)
+    folder = os.path.dirname(args.out) or "."
+    if args.out and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise UsageError(f"--out {args.out}: no writable directory {folder}")
 
 
 def _load_json(path: str):

@@ -49,7 +49,8 @@ def kleene(operator: Callable[[dict], dict], start: Mapping,
            value_cap: float = VALUE_CAP) -> FixedPointResult:
     """Iterate a monotone operator from `start` until it settles.
 
-    Stops "converged" once no entry moves by tol or more, and "diverged"
+    Stops "converged" once no entry moves by tol or more, or the iterate
+    repeats exactly (a fixed point, even at tol 0), and "diverged"
     once some entry exceeds value_cap.  Raises IndeterminateError after
     iter_cap applications.
     """
@@ -64,13 +65,15 @@ def kleene(operator: Callable[[dict], dict], start: Mapping,
         steps = list(map(sub, nxt.values(), map(current.__getitem__, nxt)))
         sup_step = max(chain((0.0,), map(abs, steps)))
         min_step = min(chain((min_step,), steps))
+        # an exact repeat is a float fixed point, so tol 0 can end too
+        settled = sup_step < tol or not any(steps)
         del steps             # else it stays alive through the next call
         current = nxt
         peak = max(current.values(), default=0.0)
         if peak > value_cap:
             return FixedPointResult("diverged", None, applications, peak,
                                     min_step)
-        if sup_step < tol:
+        if settled:
             return FixedPointResult("converged", current, applications,
                                     peak, min_step)
     raise IndeterminateError(

@@ -226,18 +226,33 @@ def _cut_checker(graph: MultiDigraph
     return check
 
 
-def validate_cut_model(space: ProductSpace, model: CutModel, *,
-                       cap: int = ENUM_CAP) -> ModelCheck:
-    """Check out-closure of A and cut coverage of F on every outcome of
-    positive probability."""
+def _sweep(space: ProductSpace, model: CutModel,
+           cap: int) -> tuple[dict[tuple, int], ModelCheck]:
+    """The integer mass of each distinct (A, F) pair of positive mass,
+    summed by value, and the model's check, by one pass.  A pair is
+    checked when first seen, until the first failure, so the
+    counterexample is the first bad outcome; memory is O(distinct pairs)."""
     check = _cut_checker(model.digraph)
+    checked = ModelCheck(True, None, "ok")
+    masses: dict[tuple, int] = {}
     for point, mass in space.outcomes(cap):
         if not mass:
             continue
-        reason = check(model.a_of(point), model.f_of(point))
-        if reason is not None:
-            return ModelCheck(False, point, reason)
-    return ModelCheck(True, None, "ok")
+        pair = model.a_of(point), model.f_of(point)
+        if checked.ok and pair not in masses:
+            reason = check(*pair)
+            if reason is not None:
+                checked = ModelCheck(False, point, reason)
+        masses[pair] = masses.get(pair, 0) + mass
+    return masses, checked
+
+
+def validate_cut_model(space: ProductSpace, model: CutModel, *,
+                       cap: int = ENUM_CAP) -> ModelCheck:
+    """Check out-closure of A and cut coverage of F on every outcome of
+    positive probability, once per distinct (A, F) pair, by a sweep that
+    runs to the end; the counterexample is the first failing outcome."""
+    return _sweep(space, model, cap)[1]
 
 
 class RiskTable:
@@ -286,31 +301,22 @@ def risk_table_exact(space: ProductSpace, model: CutModel, *,
     model's check.
 
     Each entry is the least float >= Pr(e in F | z in A), from exact
-    integer mass sums, so the table never understates a risk.  The same
-    sweep runs validate_cut_model's test on each outcome until the first
-    failure, so the ModelCheck returned with the table is the one
-    validate_cut_model gives.  Edges that F names but the digraph lacks
-    add no mass; the check reports them.
+    integer mass sums, so the table never understates a risk.  Masses are
+    added once per distinct (A, F) pair, in memory O(distinct pairs), and
+    the ModelCheck returned with the table is the one validate_cut_model
+    gives.  Edges that F names but the digraph lacks add no mass; the
+    check reports them.
     """
     graph = model.digraph
     reach = head_reach(graph)
-    check = _cut_checker(graph)
-    checked = ModelCheck(True, None, "ok")
     vertex_mass = dict.fromkeys(graph.vertices, 0)
     keys = [(e.id, z) for e in graph.edges for z in reach[e.head]]
     joint = [0] * len(keys)
     rows: dict[str, list[tuple[str, int]]] = {}   # edge -> (z, key index)
     for i, (eid, z) in enumerate(keys):
         rows.setdefault(eid, []).append((z, i))
-    for point, mass in space.outcomes(cap):
-        if not mass:
-            continue
-        inside = model.a_of(point)
-        chosen = model.f_of(point)
-        if checked.ok:
-            reason = check(inside, chosen)
-            if reason is not None:
-                checked = ModelCheck(False, point, reason)
+    masses, checked = _sweep(space, model, cap)
+    for (inside, chosen), mass in masses.items():
         for v in inside:
             vertex_mass[v] += mass
         for eid in chosen:
@@ -325,12 +331,11 @@ def risk_table_exact(space: ProductSpace, model: CutModel, *,
 
 def vertex_probabilities(space: ProductSpace, model: CutModel, *,
                          cap: int = ENUM_CAP) -> dict[str, float]:
-    """Pr(v in A) for every vertex, by enumeration, correctly rounded."""
+    """Pr(v in A) for every vertex, by enumeration, correctly rounded;
+    masses are added once per distinct (A, F) pair."""
     total = dict.fromkeys(model.digraph.vertices, 0)
-    for point, mass in space.outcomes(cap):
-        if not mass:
-            continue
-        for v in model.a_of(point):
+    for (inside, _), mass in _sweep(space, model, cap)[0].items():
+        for v in inside:
             total[v] += mass
     return {v: m / space.unit for v, m in total.items()}
 

@@ -704,8 +704,45 @@ def test_zero_tol_and_cap_are_accepted(argv, declared, tmp_path, capsys):
     argv = [str(tmp_path / a) if a in STARTUP_INPUTS else a for a in argv]
     zeros = [a for name in sorted(declared & {"tol", "cap"})
              for a in (f"--{name}", "0")]
-    # no solve converges at tol 0; cap 0 stops it at once, indeterminate
+    # cap 0 stops a solve at once, indeterminate
     assert run([*argv, *zeros], capsys)[0] in (0, 1, 3)
+
+
+@pytest.mark.parametrize("argv", [["check-lcl", "lcl.json"],
+                                  ["check-family", "family.json"],
+                                  ["check-lll", "lll.json", "--auto-mu"]],
+                         ids=call_id)
+def test_tol_zero_solves_end_at_a_float_fixed_point(argv, tmp_path, capsys):
+    for name, payload in STARTUP_INPUTS.items():
+        write(tmp_path, name, payload)
+    argv = [str(tmp_path / a) if a in STARTUP_INPUTS else a for a in argv]
+    code, out, _ = run([*argv, "--tol", "0"], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["feasible"]
+    assert all(m == 0 for m in report.get("margins", {}).values())
+    if argv[0] == "check-lcl":
+        # w = 1 + w / 2 has the float solution 2
+        assert report["weights"] == {"x->y": 2.0}
+
+
+def test_unwritable_out_exits_2_before_any_input_is_read(tmp_path,
+                                                         monkeypatch, capsys):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("enumerated before --out was checked")
+
+    monkeypatch.setattr(engine, "build_nonrep_instance", not_reached)
+    missing = str(tmp_path / "missing" / "r.json")
+    code, out, err = run(["validate-model", "nonrep", "--n", "8",
+                          "--uniform", "3", "--out", missing], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --out {missing}: no writable directory")
+    assert not os.path.exists(os.path.dirname(missing))
+    # a bad setting next to a writable --out leaves the file untouched
+    kept = tmp_path / "kept.json"
+    kept.write_text("old", encoding="utf-8")
+    code, _, _ = run(["validate-model", "nonrep", "--n", "8", "--uniform",
+                      "3", "--out", str(kept), "--cap", "-1"], capsys)
+    assert code == 2 and kept.read_text(encoding="utf-8") == "old"
 
 
 # ------------------------------------------------------- output plumbing

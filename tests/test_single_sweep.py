@@ -19,8 +19,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import localcut
+from localcut import probability
 from localcut.cli import main
 from localcut.core import ENUM_CAP
 from localcut.digraph import MultiDigraph, head_reach, underlying_simple
@@ -32,7 +35,7 @@ from localcut.families import (FamilyInstance, _worst_conditional,
 from localcut.instances import Hypergraph, random_regular_uniform_hypergraph
 from localcut.probability import (CutModel, EnumerationCapError, ModelCheck,
                                   ProductSpace, risk_table_exact,
-                                  validate_cut_model)
+                                  validate_cut_model, vertex_probabilities)
 
 from corpus import corpus
 
@@ -270,6 +273,92 @@ def test_validate_model_nonrep_sweeps_the_space_once(tmp_path, monkeypatch,
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["ok"] and report["reason"] == "ok"
     assert sweeps == [3 ** 6]
+
+
+# ------------------------------------------ one mass per distinct (A, F)
+
+# x -> y -> z with a parallel edge r into y: a pool of A sets, some not
+# out-closed, and F sets, one naming an unknown edge
+POOL_GRAPH = MultiDigraph.build(["x", "y", "z"], [
+    ("p", "x", "y"), ("r", "x", "y"), ("q", "y", "z")])
+A_POOL = [(), ("z",), ("y", "z"), ("x", "y", "z"), ("y",), ("x",)]
+F_POOL = [(), ("q",), ("p",), ("p", "r"), ("q", "p"), ("ghost",)]
+# per variable: zero weights, non-uniform weights and uniform thirds
+WEIGHTS = [[1.0], [0.5, 0.5], [0.0, 1.0], [0.25, 0.75], [0.1, 0.9],
+           [1 / 3] * 3, [0.0, 0.5, 0.5], [0.2, 0.0, 0.8]]
+
+
+@st.composite
+def pooled_models(draw):
+    """A small product space and a model whose A and F come, per outcome,
+    from a few (A, F) pairs of the pools: pairs repeat out of order, and
+    each call builds a new frozenset, so equal pairs are other objects."""
+    weights = draw(st.lists(st.sampled_from(WEIGHTS), min_size=1,
+                            max_size=3))
+    space = ProductSpace.build([(f"a{i}", list(range(len(w))), w)
+                                for i, w in enumerate(weights)])
+    pairs = draw(st.lists(st.tuples(st.sampled_from(A_POOL),
+                                    st.sampled_from(F_POOL)),
+                          min_size=1, max_size=4))
+    names = [v.name for v in space.variables]
+    combos = list(itertools.product(*(v.values for v in space.variables)))
+    picks = draw(st.lists(st.sampled_from(pairs), min_size=len(combos),
+                          max_size=len(combos)))
+    lookup = dict(zip(combos, picks))
+
+    def pick(point):
+        return lookup[tuple(point[name] for name in names)]
+
+    return space, CutModel(POOL_GRAPH, lambda pt: frozenset(pick(pt)[0]),
+                           lambda pt: frozenset(pick(pt)[1]))
+
+
+def first_pairs(space, model, checked):
+    """The distinct (A, F) values of positive mass in order of first
+    sight, up to the counterexample's when the check failed."""
+    seen = []
+    for point, mass in space.outcomes():
+        if not mass:
+            continue
+        pair = model.a_of(point), model.f_of(point)
+        if pair not in seen:
+            seen.append(pair)
+        if point == checked.counterexample:
+            break
+    return seen
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(pooled_models())
+def test_grouped_sweep_matches_per_outcome_references(case):
+    space, model = case
+    checks = []
+    checker = probability._cut_checker
+
+    def counted(graph):
+        check = checker(graph)
+
+        def counting(inside, chosen):
+            checks.append((inside, chosen))
+            return check(inside, chosen)
+        return counting
+
+    want = reference_check(space, model)
+    outcomes, scale = exact_outcomes(space)
+    vertex_mass = dict.fromkeys(POOL_GRAPH.vertices, 0)
+    for point, prob in outcomes:
+        for v in model.a_of(point):
+            vertex_mass[v] += prob
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(probability, "_cut_checker", counted)
+        table, checked = risk_table_exact(space, model)
+        assert checks == first_pairs(space, model, want)
+        assert validate_cut_model(space, model) == want
+        probs = vertex_probabilities(space, model)
+    assert table.entries == reference_table(space, model)
+    assert checked == want
+    assert probs == {v: float(Fraction(m, scale))
+                     for v, m in vertex_mass.items()}
 
 
 # ------------------------------------------------------------ square test
