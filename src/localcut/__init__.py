@@ -44,10 +44,10 @@ _EXPORTS = {
     "choice": """ChoiceError ChoiceInstance MarginalWeights
         check_expectation_condition defect extract_choice
         multichoice_certificate randomized_choice_search""",
-    "samplers": """BudgetExceededError PaletteTooSmallError SamplerError
-        SamplerReport greedy_acyclic_edge_coloring is_acyclic_edge_coloring
-        is_nonrepetitive is_nonrepetitive_coloring moser_tardos_two_coloring
-        nonrep_sequence_build verify_proper_2coloring""",
+    "samplers": """PaletteTooSmallError SamplerError SamplerReport
+        greedy_acyclic_edge_coloring is_acyclic_edge_coloring is_nonrepetitive
+        moser_tardos_two_coloring nonrep_sequence_build
+        verify_proper_2coloring""",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names.split()}

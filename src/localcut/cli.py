@@ -63,7 +63,18 @@ def _float_text(value: float) -> str:
     return format(value, ".17g")
 
 
+_FLAT = {str, int, bool, type(None)}   # values json.dumps writes as we do
+
+
 def _canonical(value) -> str:
+    # a flat list of str, or a flat dict keyed by str, goes to json in one
+    # call with the same bytes; floats, records and subclasses never do
+    kind = type(value)
+    if kind is dict and set(map(type, value)) <= {str} \
+            and set(map(type, value.values())) <= _FLAT:
+        return json.dumps(value, separators=(",", ":"), sort_keys=True)
+    if (kind is list or kind is tuple) and set(map(type, value)) <= {str}:
+        return json.dumps(value, separators=(",", ":"))
     if value is None:
         return "null"
     if isinstance(value, bool):

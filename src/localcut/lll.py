@@ -53,12 +53,21 @@ class LllInstance(NamedTuple):
                            {i: float(mu[i]) for i in idx})
 
 
+def _integers(values: list, name: str) -> list:
+    """`values`, unless one is not a JSON integer (a float or a bool)."""
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise LllError(f"{name} must be an integer, got {bad!r}")
+    return values
+
+
 def instance_from_json(obj: dict, levels: bool = True) -> LllInstance:
     """Parse {"n", "gamma": [[...]...], "p": [...], "mu": [...]} with
     1-based neighbor indices.  With `levels` false, "mu" is not read and
-    every level is 0, for callers that search for the levels."""
+    every level is 0, for callers that search for the levels.  "n" and
+    every neighbor index must be JSON integers, not floats or booleans."""
     try:
-        n = int(obj["n"])
+        [n] = _integers([obj["n"]], "n")
         gamma_rows = obj["gamma"]
         probs = [float(x) for x in obj["p"]]
         mu = [float(x) for x in obj["mu"]] if levels else [0.0] * n
@@ -66,7 +75,7 @@ def instance_from_json(obj: dict, levels: bool = True) -> LllInstance:
         raise LllError(f"bad instance object: {exc}") from exc
     if not (len(gamma_rows) == len(probs) == len(mu) == n):
         raise LllError(f"arrays must all have length n={n}")
-    gamma = {i + 1: frozenset(map(int, row))
+    gamma = {i + 1: frozenset(_integers(row, f"gamma[{i + 1}] entry"))
              for i, row in enumerate(gamma_rows)}
     return LllInstance.build(n,
                              gamma,

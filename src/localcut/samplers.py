@@ -11,7 +11,6 @@ and stop with an honest cap-exhausted report rather than looping.
 from __future__ import annotations
 
 import heapq
-import itertools
 from itertools import compress, count, islice
 from operator import eq
 from typing import Hashable, Mapping, NamedTuple, Sequence
@@ -21,15 +20,13 @@ from .instances import Graph, Hypergraph, ListAssignment
 from .rng import Generator
 
 __all__ = [
-    "SamplerError", "PaletteTooSmallError", "BudgetExceededError",
+    "SamplerError", "PaletteTooSmallError",
     "SamplerReport", "moser_tardos_two_coloring", "verify_proper_2coloring",
     "nonrep_sequence_build", "is_nonrepetitive",
     "greedy_acyclic_edge_coloring", "is_acyclic_edge_coloring",
-    "is_nonrepetitive_coloring",
 ]
 
 DRAW_CAP = 10 ** 6
-PATH_BUDGET = 10 ** 6
 
 
 class SamplerError(ValueError):
@@ -38,10 +35,6 @@ class SamplerError(ValueError):
 
 class PaletteTooSmallError(SamplerError):
     """Raised when a greedy step finds every color forbidden."""
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when an exhaustive check would overrun its step budget."""
 
 
 class SamplerReport(NamedTuple):
@@ -135,11 +128,13 @@ class _SquareIndex:
     doubled block ending at it, or 0.  A doubled block of half length
     t >= `_GRAM` ending at m repeats the gram ending at m exactly t
     positions earlier, so only those earlier ends need testing, nearest
-    first.  Shorter halves are tested at the buffer end directly."""
+    first.  A shorter half t compares the last t digits of the keys at m
+    and at m - t: both keys hold at least t digits, none of them 0."""
 
     def __init__(self, symbols: int) -> None:
         self.gram = _GRAM
         self.base = symbols + 1
+        self.powers = [self.base ** t for t in range(self.gram)]
         self.span = self.base ** self.gram
         self.codes: list[int] = []
         self.keys: list[int] = []   # the gram key of each position
@@ -147,6 +142,7 @@ class _SquareIndex:
 
     def push(self, code: int) -> int:
         codes, keys, gram = self.codes, self.keys, self.gram
+        powers = self.powers
         m = len(codes)
         key = ((keys[-1] if m else 0) * self.base + code + 1) % self.span
         codes.append(code)
@@ -155,8 +151,8 @@ class _SquareIndex:
         ends = self.ends.setdefault(key, [])
         found = 0
         for t in range(1, min(gram - 1, half) + 1):
-            if (codes[m - t] == code
-                    and codes[m - 2 * t + 1:m - t + 1] == codes[m - t + 1:]):
+            # both keys hold at least t nonzero digits: compare the last t
+            if key % powers[t] == keys[m - t] % powers[t]:
                 found = t
                 break
         else:
@@ -409,10 +405,22 @@ def is_acyclic_edge_coloring(graph: Graph,
                              ) -> AcyclicCheck:
     """Proper on adjacent edges and, for every pair of colors, the edges
     in those two colors form a forest.  Witnesses: a same-colored adjacent
-    pair, or the vertex sequence of a 2-colored cycle."""
+    pair, or the vertex sequence of a 2-colored cycle in the least pair
+    of colors that has one.
+
+    Properness puts each vertex on at most one edge of a color, so a
+    2-colored cycle alternates its colors c and d, and every vertex on it
+    carries both.  One pass over the edges therefore joins, for an edge
+    {a, b} of color c, a and b in the (c, d) forest of each color d that
+    a and b both carry, and no other edge.  In such a forest every part
+    is a path and a and b are its ends (the edge is their only c-edge),
+    so a union only links the far ends of two paths, and a pair is
+    cyclic when a and b already end one path.  Only the least cyclic
+    pair is then walked, in edge order, for its witness."""
     missing = [edge for edge in graph.edges if edge not in coloring]
     if missing:
         raise SamplerError(f"coloring misses edge {sorted(missing[0])}")
+    shades: dict[str, dict[int, frozenset]] = {}
     for v in graph.vertices:
         seen: dict[int, frozenset] = {}
         for u in graph.neighbors[v]:
@@ -423,88 +431,59 @@ def is_acyclic_edge_coloring(graph: Graph,
                                     (tuple(sorted(seen[c])),
                                      tuple(sorted(edge))))
             seen[c] = edge
-    ends = [sorted(edge) for edge in graph.edges]
-    classes: dict[int, list[int]] = {}
-    for idx, edge in enumerate(graph.edges):
-        classes.setdefault(coloring[edge], []).append(idx)
-    for c, d in itertools.combinations(sorted(classes), 2):
-        # merged in edge order, which fixes adjacency order and witnesses
-        adj: dict[str, list[str]] = {}
-        for idx in heapq.merge(classes[c], classes[d]):
-            a, b = ends[idx]
+        shades[v] = seen
+    far: dict[tuple, str] = {}    # (c, d, v) -> far end of v's path
+    cyclic = set()
+    for edge in graph.edges:
+        c = coloring[edge]
+        a, b = edge
+        for d in shades[a].keys() & shades[b].keys():
+            if d == c:
+                continue
+            pair = (c, d) if c < d else (d, c)
+            end_a = far.pop(pair + (a,), a)
+            end_b = far.pop(pair + (b,), b)
+            if end_a == b:
+                cyclic.add(pair)
+            else:
+                far[pair + (end_a,)] = end_b
+                far[pair + (end_b,)] = end_a
+    if not cyclic:
+        return AcyclicCheck(True, "", ())
+    pair = min(cyclic)
+    adj: dict[str, list[str]] = {}
+    for edge in graph.edges:
+        if coloring[edge] in pair:
+            a, b = sorted(edge)
             adj.setdefault(a, []).append(b)
             adj.setdefault(b, []).append(a)
-        visited: set[str] = set()
-        for root in sorted(adj):
-            if root in visited:
-                continue
-            component = []
-            stack = [root]
-            visited.add(root)
-            degree_sum = 0
-            while stack:
-                v = stack.pop()
-                component.append(v)
-                degree_sum += len(adj[v])
-                for u in adj[v]:
-                    if u not in visited:
-                        visited.add(u)
-                        stack.append(u)
-            if degree_sum // 2 >= len(component):
-                # properness bounds degrees by 2, so the component is a
-                # single cycle; walk it for the witness
-                start = component[0]
-                cycle = [start]
-                prev, cur = None, start
-                while True:
-                    nxt = next(u for u in adj[cur] if u != prev)
-                    if nxt == start:
-                        break
-                    cycle.append(nxt)
-                    prev, cur = cur, nxt
-                return AcyclicCheck(False, "cycle", tuple(cycle))
-    return AcyclicCheck(True, "", ())
-
-
-# ------------------------------------- repetitively colored path checker
-
-class NonrepColoringCheck(NamedTuple):
-    ok: bool
-    witness: tuple[str, ...] | None
-
-
-def is_nonrepetitive_coloring(graph: Graph, coloring: Mapping[str, Hashable],
-                              max_vertices: int,
-                              budget: int = PATH_BUDGET
-                              ) -> NonrepColoringCheck:
-    """Exhaustively checks simple paths on up to `max_vertices` vertices
-    for a color sequence whose first half repeats as its second half.
-    Enumeration is exponential; `budget` caps extension steps and
-    overruns raise rather than silently truncate."""
-    missing = [v for v in graph.vertices if v not in coloring]
-    if missing:
-        raise SamplerError(f"coloring misses vertex {missing[0]!r}")
-    if max_vertices < 2:
-        return NonrepColoringCheck(True, None)
-    steps = 0
-    for start in graph.vertices:
-        stack: list[tuple[list[str], set[str]]] = [([start], {start})]
+    visited: set[str] = set()
+    for root in sorted(adj):
+        if root in visited:
+            continue
+        component = []
+        stack = [root]
+        visited.add(root)
+        degree_sum = 0
         while stack:
-            path, used = stack.pop()
-            length = len(path)
-            if length % 2 == 0:
-                half = length // 2
-                if all(coloring[path[i]] == coloring[path[i + half]]
-                       for i in range(half)):
-                    return NonrepColoringCheck(False, tuple(path))
-            if length >= max_vertices:
-                continue
-            for u in graph.neighbors[path[-1]]:
-                if u in used:
-                    continue
-                steps += 1
-                if steps > budget:
-                    raise BudgetExceededError(
-                        f"path enumeration exceeded {budget} steps")
-                stack.append((path + [u], used | {u}))
-    return NonrepColoringCheck(True, None)
+            v = stack.pop()
+            component.append(v)
+            degree_sum += len(adj[v])
+            for u in adj[v]:
+                if u not in visited:
+                    visited.add(u)
+                    stack.append(u)
+        if degree_sum // 2 >= len(component):
+            # degrees are at most 2, so the component is a single cycle;
+            # walk it for the witness
+            start = component[0]
+            cycle = [start]
+            prev, cur = None, start
+            while True:
+                nxt = next(u for u in adj[cur] if u != prev)
+                if nxt == start:
+                    break
+                cycle.append(nxt)
+                prev, cur = cur, nxt
+            return AcyclicCheck(False, "cycle", tuple(cycle))
+    raise RuntimeError(f"colors {pair} closed no cycle")

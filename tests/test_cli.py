@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import localcut
-from localcut import engine, thresholds
+from localcut import cli, engine, thresholds
 from localcut.cli import main
 
 SINGLE_ARC = {
@@ -285,6 +285,29 @@ def test_check_lll_runs_the_lopsided_check_once(tmp_path, capsys,
     code, out, _ = run(["check-lll", path], capsys)
     assert code == 0 and len(calls) == 1 and out == first
     assert "tau" in json.loads(out)
+
+
+# n or a neighbor index that is not a JSON integer, and what the message
+# names; each was read as an integer, or overflowed, before
+NON_INTEGERS = {
+    "fraction-n": ('"n": 2.5, "gamma": [[2], [1]]', "2.5"),
+    "huge-n": ('"n": 1e400, "gamma": [[2], [1]]', "inf"),
+    "fraction-and-bool-neighbors": ('"n": 2, "gamma": [[2.7], [true]]',
+                                    "2.7"),
+    "bool-neighbor": ('"n": 2, "gamma": [[2], [true]]', "True"),
+}
+
+
+@pytest.mark.parametrize("fields, named", NON_INTEGERS.values(),
+                         ids=NON_INTEGERS)
+def test_check_lll_refuses_non_integer_indices(fields, named, tmp_path,
+                                               capsys):
+    path = tmp_path / "lll.json"
+    path.write_text("{" + fields + ', "p": [0.125, 0.125], '
+                    '"mu": [0.25, 0.25]}', encoding="utf-8")
+    code, out, err = run(["check-lll", str(path)], capsys)
+    assert code == 2 and out == "" and named in err
+    assert "must be an integer" in err
 
 
 # -------------------------------------------------------------- threshold
@@ -915,7 +938,7 @@ def test_sample_pool_runs_from_a_fresh_process():
 
 # today's public names; each must be the object its defining module holds
 PUBLIC_NAMES = set("""
-    BudgetExceededError ChoiceError ChoiceInstance CutInstance CutModel
+    ChoiceError ChoiceInstance CutInstance CutModel
     DigraphError Edge EnumerationCapError FamilyInstance FeasibilityResult
     FixedPointResult Graph Hypergraph IndeterminateError InstanceError
     ListAssignment LllError LllInstance MarginalWeights McEstimate
@@ -931,7 +954,7 @@ PUBLIC_NAMES = set("""
     greedy_peel hypercube_digraph hypergraph_coloring_family
     hypergraph_from_json hypergraph_two_coloring_max_degree
     instance_from_json is_a_cut is_acyclic_edge_coloring is_nonrepetitive
-    is_nonrepetitive_coloring is_out_closed least_tau_solution
+    is_out_closed least_tau_solution
     least_weight_solution lists_from_json min_product_weight
     min_product_weights moser_tardos_two_coloring mu_to_tau
     multichoice_certificate nonrep_sequence_build
@@ -945,7 +968,7 @@ PUBLIC_NAMES = set("""
 
 
 def test_package_names_resolve_to_their_modules():
-    assert len(PUBLIC_NAMES) == 94
+    assert len(PUBLIC_NAMES) == 92
     assert set(localcut.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         value = getattr(localcut, name)
@@ -1003,6 +1026,65 @@ def test_reports_refuse_records():
     with pytest.raises(TypeError, match="Edge"):
         _canonical([localcut.Edge("e", "x", "y")])
     assert _canonical({"pair": (1, 2.5)}) == '{"pair":[1,2.5]}'
+
+
+def per_item_canonical(value):
+    """The report form written one item at a time, as `_canonical` did
+    before flat lists and dicts went to `json.dumps` in one call."""
+    if value is None or isinstance(value, bool):
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return cli._float_text(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{json.dumps(str(k))}:"
+                              f"{per_item_canonical(value[k])}"
+                              for k in sorted(value, key=str)) + "}"
+    return "[" + ",".join(map(per_item_canonical, value)) + "]"
+
+
+class Text(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+AWKWARD = ["caf\u00e9", "\u65e5\u672c", '"q"', "back\\slash",
+           "tab\tnl\n\x00\x1f", "\u2028\u2029", "\ud800", "\U0001f600", ""]
+EMISSION_CASES = [
+    AWKWARD, tuple(AWKWARD), [], (), ["x"],
+    [Text("sub"), "plain"], ["a", 1], ["a", 1.5], ["a", True], ["a", None],
+    ["a", float("nan")], [["a"], "b"],
+    {}, {"b": 1, "a": -2, "c": 10 ** 30}, {"t": True, "f": False, "n": None},
+    {"s": "\u2028", "i": 0, "b": True}, {"x": 0.5, "y": 1}, {"x": Count(3)},
+    {Text("k"): 1}, {2: "int key", "a": "str key"}, {"k": ["a", "b"]},
+    {f"w{i}|w{i + 1}": i % 7 for i in range(50)},
+]
+
+
+@pytest.mark.parametrize("value", EMISSION_CASES,
+                         ids=[str(i) for i in range(len(EMISSION_CASES))])
+def test_flat_reports_keep_their_bytes(value):
+    assert cli._canonical(value) == per_item_canonical(value)
+
+
+def test_flat_lists_and_dicts_take_one_json_call(monkeypatch):
+    calls = []
+    dumps = json.dumps
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counted)
+    cli._canonical({"sequence": ["a", "b"] * 50,
+                    "coloring": {f"e{i}": i for i in range(50)}})
+    assert len(calls) == 4    # two keys, then each value in one call
 
 
 def test_tracer_hooks_and_read_only_records():

@@ -338,6 +338,71 @@ def test_acyclic_verifier_matches_the_pair_scan():
     assert kinds == {"", "adjacent", "cycle"}
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(4, 30), st.integers(2, 6), st.integers(-1, 1),
+       st.integers(0, 10 ** 6))
+def test_acyclic_verifier_matches_the_pair_scan_on_tight_palettes(
+        n, delta, spare, seed):
+    # 2 max degree - 1 to + 1 colors: proper, and 2-colored cycles common
+    rng = random.Random(seed)
+    graph = random_graph_max_degree(n, delta, n * delta // 2, seed)
+    coloring = random_proper_coloring(rng, graph,
+                                      2 * graph.max_degree + spare)
+    check = is_acyclic_edge_coloring(graph, coloring)
+    assert check == old_is_acyclic_edge_coloring(graph, coloring)
+
+
+def colored_graph(triples):
+    """A graph with its edges, and their colors, in the order given."""
+    graph = Graph.build(sorted({v for a, b, _ in triples for v in (a, b)}),
+                        [(a, b) for a, b, _ in triples])
+    return graph, {frozenset((a, b)): c for a, b, c in triples}
+
+
+def ring(name, length, colors):
+    return [(f"{name}{i}", f"{name}{(i + 1) % length}", colors[i % 2])
+            for i in range(length)]
+
+
+def decorated_ring(length, colors, spare):
+    """A ring alternating `colors`, a pendant p_i at each ring vertex
+    alternating `spare`, and the path p_0 ... p_(length-1) alternating
+    `colors` again: proper, and the ring is its only 2-colored cycle."""
+    pendants = [(f"r{i}", f"p{i}", spare[i % 2]) for i in range(length)]
+    path = [(f"p{i}", f"p{i + 1}", colors[i % 2])
+            for i in range(length - 1)]
+    return ring("r", length, colors), pendants + path
+
+
+@pytest.mark.parametrize("length, colors, spare",
+                         [(6, (0, 1), (2, 3)), (8, (4, 2), (0, 1))])
+def test_acyclic_verifier_finds_a_long_cycle_in_a_larger_coloring(
+        length, colors, spare):
+    cycle, rest = decorated_ring(length, colors, spare)
+    want = AcyclicCheck(False, "cycle", tuple(f"r{i}" for i in range(length)))
+    # ring first, and ring last so that the last edge closes the cycle
+    for triples in (cycle + rest, rest + cycle):
+        graph, coloring = colored_graph(triples)
+        check = is_acyclic_edge_coloring(graph, coloring)
+        assert check == want == old_is_acyclic_edge_coloring(graph, coloring)
+        # one color changed on the path leaves the ring as the only cycle,
+        # and one on the ring leaves none
+        coloring[frozenset(("p0", "p1"))] = 9
+        assert is_acyclic_edge_coloring(graph, coloring) == want
+        coloring[frozenset(("r0", "r1"))] = 8
+        assert is_acyclic_edge_coloring(graph, coloring).ok
+
+
+def test_acyclic_verifier_witness_comes_from_the_least_cyclic_pair():
+    # the 4-cycle in colors 2, 3 closes first, the 6-cycle in 0, 1 later
+    for late in (ring("b", 6, (0, 1)), ring("b", 6, (1, 0))):
+        graph, coloring = colored_graph(ring("a", 4, (3, 2)) + late)
+        check = is_acyclic_edge_coloring(graph, coloring)
+        assert check == AcyclicCheck(False, "cycle",
+                                     ("b0", "b1", "b2", "b3", "b4", "b5"))
+        assert check == old_is_acyclic_edge_coloring(graph, coloring)
+
+
 def test_graph_generator_matches_the_frozenset_shuffle():
     for n, delta, target, seed in [(2, 1, 1, 0), (10, 3, 15, 1),
                                    (40, 6, 120, 2), (40, 6, 30, 3),

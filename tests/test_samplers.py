@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 
 from localcut import samplers
 from localcut.instances import Graph, Hypergraph, ListAssignment
-from localcut.samplers import (DRAW_CAP, BudgetExceededError,
-                               PaletteTooSmallError, SamplerError,
-                               _SquareIndex, greedy_acyclic_edge_coloring,
+from localcut.samplers import (DRAW_CAP, PaletteTooSmallError,
+                               SamplerError, _SquareIndex,
+                               greedy_acyclic_edge_coloring,
                                is_acyclic_edge_coloring, is_nonrepetitive,
-                               is_nonrepetitive_coloring,
                                moser_tardos_two_coloring,
                                nonrep_sequence_build,
                                verify_proper_2coloring)
@@ -341,30 +340,3 @@ def test_acyclic_checker_witnesses():
         is_acyclic_edge_coloring(c4, {})
 
 
-# ------------------------------------------- nonrepetitive colorings
-
-def test_nonrepetitive_coloring_checker():
-    p4 = Graph.build(["v1", "v2", "v3", "v4"],
-                     [("v1", "v2"), ("v2", "v3"), ("v3", "v4")])
-    bad = {"v1": "a", "v2": "b", "v3": "a", "v4": "b"}
-    chk = is_nonrepetitive_coloring(p4, bad, max_vertices=4)
-    assert not chk.ok and len(chk.witness) in (2, 4)
-
-    good = {"v1": "a", "v2": "b", "v3": "c", "v4": "a"}
-    assert is_nonrepetitive_coloring(p4, good, max_vertices=4).ok
-
-    two = Graph.build(["x", "y"], [("x", "y")])
-    same = {"x": "a", "y": "a"}
-    chk = is_nonrepetitive_coloring(two, same, max_vertices=2)
-    assert not chk.ok and chk.witness == ("x", "y")
-    assert is_nonrepetitive_coloring(two, same, max_vertices=1).ok
-
-
-def test_nonrepetitive_coloring_budget():
-    star = Graph.build(["c", "l1", "l2", "l3", "l4"],
-                       [("c", f"l{i}") for i in range(1, 5)])
-    rainbow = {v: i for i, v in enumerate(star.vertices)}
-    with pytest.raises(BudgetExceededError):
-        is_nonrepetitive_coloring(star, rainbow, max_vertices=3, budget=2)
-    with pytest.raises(SamplerError):
-        is_nonrepetitive_coloring(star, {"c": 0}, max_vertices=3)
