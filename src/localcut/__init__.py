@@ -20,10 +20,9 @@ _EXPORTS = {
     "digraph": """DigraphError Edge MultiDigraph NotOutClosedError
         SimpleDigraph digraph_from_json digraph_to_json is_a_cut is_out_closed
         min_product_weight min_product_weights reachable underlying_simple""",
-    "probability": """McEstimate ProductSpace RiskTable SpaceError CutModel
-        cond_prob estimate_cond_prob exact_prob risk_table_exact
-        risk_table_from_json space_from_json validate_cut_model
-        vertex_probabilities""",
+    "probability": """ProductSpace RiskTable SpaceError CutModel cond_prob
+        exact_prob risk_table_exact risk_table_from_json space_from_json
+        validate_cut_model vertex_probabilities""",
     "engine": """CutInstance apply_risk_operator build_nonrep_instance
         check_weight_condition least_weight_solution probability_bounds
         risk_of_edge telescoping_check""",

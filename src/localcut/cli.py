@@ -247,10 +247,15 @@ def _family_terms(data) -> tuple[tuple[str, ...], dict]:
     for idx, entry in enumerate(data.get("events", [])):
         try:
             element = str(entry["element"])
-            p = float(entry["p"])
-            witness = tuple(sorted(set(map(str, entry["witness"]))))
+            p, witness = entry["p"], entry["witness"]
         except (TypeError, KeyError) as exc:
             raise UsageError(f"malformed event {idx}: {exc}") from exc
+        if type(p) not in (int, float):     # a JSON number, not a bool
+            raise UsageError(f"event {idx}: p must be a number, got {p!r}")
+        if type(witness) is not list or not set(map(type, witness)) <= {str}:
+            raise UsageError(f"event {idx}: witness must be a list of "
+                             "strings")
+        p, witness = float(p), tuple(sorted(set(witness)))
         if element not in terms:
             raise UsageError(f"event {idx} names unknown element "
                              f"{element!r}")

@@ -26,9 +26,10 @@ from .core import (ENUM_CAP, ITER_CAP, TOL, VALUE_CAP,  # noqa: F401
                    FixedPointResult, IndeterminateError, WeightReport,
                    check_margins, kleene)
 from .digraph import (Arc, MultiDigraph, SimpleDigraph, check_weights,
-                      min_product_weights, reachable, underlying_simple)
-from .probability import (CutModel, ModelCheck, ProductSpace,
-                          RiskTable, risk_table_exact, vertex_probabilities)
+                      head_reach, min_product_weights, reachable,
+                      underlying_simple)
+from .probability import (CutModel, ModelCheck, ProductSpace, RiskTable,
+                          _cut_checker, _ratio_up, vertex_probabilities)
 
 # One parallel edge's risk entries: the (z, r) pairs to scan, and whether
 # the arc's floor min over reach(head) of P(z) caps them.
@@ -283,9 +284,11 @@ def build_nonrep_instance(lists: Sequence[Sequence], *,
     free of adjacent equal blocks; the random edge set collects the block
     pairs that actually repeated.
 
-    risk_mode "exact" enumerates the product space for the risk table;
+    risk_mode "exact" gets the exact risk table and the model's check from
+    one walk over the square-free prefixes (`_nonrep_walk`), as
+    risk_table_exact would from all outcomes, which `cap` still bounds;
     "bound" stores only the per-position product bound at the witness
-    vertex v_{s+t-1}, and needs no enumeration.
+    vertex v_{s+t-1}, rounded up, and walks nothing.
     """
     n = len(lists)
     if n == 0:
@@ -306,6 +309,10 @@ def build_nonrep_instance(lists: Sequence[Sequence], *,
 
     space = ProductSpace.uniform(
         [(f"a{i}", list(values)) for i, values in enumerate(lists, start=1)])
+
+    def repeats_at(seq, e: int) -> list[str]:
+        """The block pairs whose copy ends at e and repeats in seq."""
+        return [eid for eid, s, m in at_end[e] if seq[s:m] == seq[m:e]]
 
     names = [f"a{i}" for i in range(1, n + 1)]
     # itemgetter with one key returns the value, not a 1-tuple
@@ -330,7 +337,7 @@ def build_nonrep_instance(lists: Sequence[Sequence], *,
             while shared < n and seq[shared] == last[shared]:
                 shared += 1
         for e in range(shared + 1, n + 1):
-            hit = [eid for eid, s, m in at_end[e] if seq[s:m] == seq[m:e]]
+            hit = repeats_at(seq, e)
             repeats[e] = repeats[e - 1].union(hit) if hit else repeats[e - 1]
             # the first repeat ends the clean prefix
             clean[e] = (clean[e - 1] if clean[e - 1] < e - 1
@@ -347,17 +354,107 @@ def build_nonrep_instance(lists: Sequence[Sequence], *,
 
     model = CutModel(graph, a_of, f_of)
 
-    checked = None
     if risk_mode == "exact":
-        risks, checked = risk_table_exact(space, model, cap=cap)
-    else:
-        entries = {}
-        for e in range(n + 1):
-            for eid, start, middle in at_end[e]:
-                bound = 1.0
-                for values in lists[middle:e]:    # the copy's positions
-                    bound /= len(values)
-                entries[(eid, f"v{middle}")] = bound
-        risks = RiskTable(entries)
-        risks.validate(graph)
-    return CutInstance(graph, risks, space, model, checked)
+        space.check_cap(cap)
+        risks, checked = _nonrep_walk(lists, graph, at_end, repeats_at,
+                                      names, prefixes)
+        return CutInstance(graph, risks, space, model, checked)
+    risks = RiskTable({
+        (eid, f"v{middle}"):     # 1 / the sizes of the copy's positions
+        _ratio_up(1, math.prod(len(values) for values in lists[middle:e]))
+        for e in range(n + 1) for eid, _, middle in at_end[e]})
+    risks.validate(graph)
+    return CutInstance(graph, risks, space, model)
+
+
+def _nonrep_walk(lists, graph, at_end, repeats_at, names,
+                 prefixes) -> tuple[RiskTable, ModelCheck]:
+    """The nonrep model's exact risk table and check, equal to
+    risk_table_exact's, from one depth-first walk over the square-free
+    prefixes in list order.
+
+    Every outcome has mass 1, and v_j is in A iff the prefix of length j
+    is square-free.  So v_j's mass is the number N_j of square-free
+    prefixes w of length j times the sizes of the lists past j.  The
+    joint mass of v_j and the edge whose copy seq[m:e] repeats seq[s:m]
+    (t = m - s) sums, over those w, a product over the copy's disjoint
+    position pairs (p - t, p): [w[p] == w[p - t]] when p < j; the count
+    of w[p - t] in list p when p - t < j <= p; the number of equal value
+    pairs of lists p - t and p when j <= p - t; times the sizes of the
+    free positions outside [s, e).  The factors that do not depend on w
+    are taken once per (edge, j), and an edge with s >= j adds
+    N_j times them.
+
+    Outcomes whose first square ends at m share A = {v_1..v_{m-1}}, and
+    the one arc into A carries exactly the repeats ending at m.  So one
+    check per distinct (m, repeats ending at m), and one for a full
+    square-free word (A = V, F empty), decides every outcome; the walk
+    meets the classes in outcome order, and a failing class names its
+    first outcome, as the sweep would.
+    """
+    n = len(lists)
+    tail = [1] * (n + 1)        # tail[p]: the outcomes of positions p..n-1
+    for p in range(n - 1, -1, -1):
+        tail[p] = tail[p + 1] * len(lists[p])
+    blocks = {eid: (s, m, e) for e in range(n + 1) for eid, s, m in at_end[e]}
+    reach = head_reach(graph)
+    keys = [(edge.id, z) for edge in graph.edges for z in reach[edge.head]]
+    joint = [0] * len(keys)
+    static = []     # (key index, j, factor) of copies starting at or past j
+    live = [[] for _ in range(n + 1)]   # per j, the copies starting before j
+    levels = [int(z[1:]) for _, z in keys]     # z = v_j
+    for i, ((eid, _), j) in enumerate(zip(keys, levels)):
+        s, m, e = blocks[eid]
+        t = m - s
+        factor = tail[e] * (tail[j] // tail[s] if j < s else 1)
+        for p in range(max(m, j + t), e):
+            factor *= sum(map(lists[p].count, lists[p - t]))
+        if j <= s:
+            static.append((i, j, factor))
+        elif factor:
+            live[j].append((i, factor, s, m, j - t, tuple(
+                (p - t, lists[p]) for p in range(max(m, j), min(e, j + t)))))
+
+    check = _cut_checker(graph)
+    checked = ModelCheck(True, None, "ok")
+    judged = set()
+    count = [0] * (n + 1)       # count[j]: square-free prefixes of length j
+    w = []
+
+    def judge(good: int, hit: list[str]) -> None:
+        nonlocal checked
+        cls = (good, *hit)      # |A|, and F on the arc into A
+        if checked.ok and cls not in judged:
+            judged.add(cls)
+            reason = check(prefixes[good], frozenset(hit))
+            if reason is not None:
+                first = w + [values[0] for values in lists[len(w):]]
+                checked = ModelCheck(False, dict(zip(names, first)), reason)
+
+    def visit(j: int) -> None:  # w is a square-free prefix of length j
+        count[j] += 1
+        for i, factor, s, m, stop, cross in live[j]:
+            if m < j and w[s:stop] != w[m:j]:
+                continue
+            for a, values in cross:
+                factor *= values.count(w[a])
+            joint[i] += factor
+        if j == n:
+            judge(n, [])
+            return
+        for x in lists[j]:
+            w.append(x)
+            hit = repeats_at(w, j + 1)
+            if hit:
+                judge(j, hit)
+            else:
+                visit(j + 1)
+            w.pop()
+
+    visit(0)
+    for i, j, factor in static:
+        joint[i] += count[j] * factor
+    table = RiskTable({key: _ratio_up(joint[i], count[j] * tail[j])
+                       for i, (key, j) in enumerate(zip(keys, levels))})
+    table.validate(graph, reach)
+    return table, checked

@@ -1,5 +1,5 @@
 """Finite product probability spaces: exact enumeration, conditioning,
-Monte-Carlo estimation, and exact risk tables for cut models.
+and exact risk tables for cut models.
 
 Enumerated probabilities are exact: every outcome carries an integer mass,
 sums are sums of Python ints, and each result is one division, correctly
@@ -101,19 +101,6 @@ class ProductSpace(NamedTuple):
         for combo, ms in zip(values, masses):
             yield dict(zip(names, combo)), math.prod(ms)
 
-    def sample_batch(self, trials: int, seed: int) -> list[SamplePoint]:
-        """Deterministic batch of independent samples for the given seed."""
-        from .rng import Generator      # only Monte Carlo estimation draws
-
-        rng = Generator(seed)
-        columns = []
-        for var in self.variables:
-            idx = rng.choice(var.weights, size=trials)
-            columns.append([var.values[i] for i in idx])
-        names = [v.name for v in self.variables]
-        return [dict(zip(names, row)) for row in zip(*columns)] if columns else \
-               [{} for _ in range(trials)]
-
 
 def _ratio_up(joint: int, base: int) -> float:
     """The least float >= joint / base, for ints 0 <= joint <= base; 0.0
@@ -146,33 +133,6 @@ def cond_prob(space: ProductSpace, event: Event, given: Event, *,
             if event(point):
                 joint += mass
     return joint / base if base else 0.0
-
-
-class McEstimate(NamedTuple):
-    estimate: float
-    half_width: float      # 95% normal-approximation interval half-width
-    conditioned: bool      # False when no trial satisfied the condition
-    hits: int              # trials satisfying the condition
-    trials: int
-
-
-def estimate_cond_prob(space: ProductSpace, event: Event, given: Event,
-                       trials: int, seed: int) -> McEstimate:
-    """Monte-Carlo estimate of Pr(event | given), deterministic per seed."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    hits = 0
-    joint = 0
-    for point in space.sample_batch(trials, seed):
-        if given(point):
-            hits += 1
-            if event(point):
-                joint += 1
-    if hits == 0:
-        return McEstimate(0.0, math.inf, False, 0, trials)
-    p = joint / hits
-    half = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / hits)
-    return McEstimate(p, half, True, hits, trials)
 
 
 # ------------------------------------------------------------- cut models
@@ -364,9 +324,12 @@ def risk_table_from_json(obj: dict,
     entries = {}
     for r in rows:
         try:
-            entries[(r["edge"], r["z"])] = float(r["p"])
+            key, p = (r["edge"], r["z"]), r["p"]
         except (KeyError, TypeError) as exc:
             raise SpaceError(f"bad risk row {r!r}: {exc}") from exc
+        if type(p) not in (int, float):     # a JSON number, not a bool
+            raise SpaceError(f"risk row {r!r}: p must be a number")
+        entries[key] = float(p)
     table = RiskTable(entries)
     if graph is not None:
         table.validate(graph)

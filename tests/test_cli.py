@@ -133,6 +133,26 @@ def test_malformed_or_non_finite_weights_exit_2(subcommand, weights,
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("subcommand, payload", [
+    ("check-lcl", {**SINGLE_ARC,
+                   "risks": [{"edge": "e", "z": "y", "p": "0.5"}]}),
+    ("check-lcl", {**SINGLE_ARC,
+                   "risks": [{"edge": "e", "z": "y", "p": True}]}),
+    ("check-family", {**FAMILY, "events": [
+        {"element": "a", "p": 0.125, "witness": "ab"}]}),
+    ("check-family", {**FAMILY, "events": [
+        {"element": "a", "p": "0.125", "witness": ["a"]}]}),
+], ids=["risk-string", "risk-bool", "witness-string", "event-p-string"])
+def test_inputs_that_read_as_results_exit_2(subcommand, payload, tmp_path,
+                                            capsys):
+    # a string or bool read as a number, or a string read as the set of
+    # its letters, once gave a verdict
+    code, out, err = run([subcommand, write(tmp_path, "inst.json", payload)],
+                         capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert "must be" in err
+
+
 def test_unconverged_solve_weights_exit_3(tmp_path, capsys, monkeypatch):
     # solvers that stop while one more application still moves the
     # weights by more than --tol: the check, not the solver, decides
@@ -854,21 +874,17 @@ def test_only_drawing_subcommands_load_numpy(argv, tmp_path):
     assert code in (0, 1) and heavy == []
 
 
-# each sampler and a Monte Carlo estimate; prints what they drew
+# each sampler; prints what they drew
 DRAWS_PROBE = """
 import json
-from localcut import instances, probability, samplers
-space = probability.ProductSpace.build(
-    [("x", [0, 1], [0.25, 0.75]), ("y", [0, 1, 2], [0.5, 0.25, 0.25])])
-est = probability.estimate_cond_prob(
-    space, lambda pt: pt["x"] == 1, lambda pt: pt["y"] > 0, 400, seed=3)
+from localcut import instances, samplers
 seq, _ = samplers.nonrep_sequence_build(
     instances.ListAssignment.uniform(60, 4), 5)
 graph = instances.random_graph_max_degree(14, 3, 21, 2)
 edges, _ = samplers.greedy_acyclic_edge_coloring(graph, 8, 2)
 hypergraph = instances.random_regular_uniform_hypergraph(16, 8, 2, 1)
 colors, _ = samplers.moser_tardos_two_coloring(hypergraph, 1)
-print(json.dumps([est, seq, sorted((sorted(e), c) for e, c in edges.items()),
+print(json.dumps([seq, sorted((sorted(e), c) for e, c in edges.items()),
                   sorted(colors.items())]))
 """
 
@@ -878,8 +894,8 @@ def test_draws_need_no_numpy():
     blocked = python_process(
         ["-c", 'import sys; sys.modules["numpy"] = None\n' + DRAWS_PROBE])
     assert blocked.stdout == python_process(["-c", DRAWS_PROBE]).stdout
-    est, seq, edges, colors = json.loads(blocked.stdout)
-    assert est[3] > 0 and len(seq) == 60 and edges
+    seq, edges, colors = json.loads(blocked.stdout)
+    assert len(seq) == 60 and edges
     assert len(colors) == 16
 
 
@@ -941,7 +957,7 @@ PUBLIC_NAMES = set("""
     ChoiceError ChoiceInstance CutInstance CutModel
     DigraphError Edge EnumerationCapError FamilyInstance FeasibilityResult
     FixedPointResult Graph Hypergraph IndeterminateError InstanceError
-    ListAssignment LllError LllInstance MarginalWeights McEstimate
+    ListAssignment LllError LllInstance MarginalWeights
     MultiDigraph NotOutClosedError PaletteTooSmallError ProductSpace
     RiskTable SamplerError SamplerReport SeriesCondition SimpleDigraph
     SpaceError WeightReport acyclic_feasible apply_risk_operator
@@ -949,7 +965,7 @@ PUBLIC_NAMES = set("""
     check_expectation_condition check_family_condition check_lopsided
     check_tau_condition check_weight_condition cond_prob
     critical_condition_check critical_min_slack critical_vertex_condition
-    defect digraph_from_json digraph_to_json estimate_cond_prob exact_prob
+    defect digraph_from_json digraph_to_json exact_prob
     extract_choice family_of graph_from_json greedy_acyclic_edge_coloring
     greedy_peel hypercube_digraph hypergraph_coloring_family
     hypergraph_from_json hypergraph_two_coloring_max_degree
@@ -968,7 +984,7 @@ PUBLIC_NAMES = set("""
 
 
 def test_package_names_resolve_to_their_modules():
-    assert len(PUBLIC_NAMES) == 92
+    assert len(PUBLIC_NAMES) == 90
     assert set(localcut.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         value = getattr(localcut, name)

@@ -8,10 +8,10 @@ import pytest
 
 from localcut.digraph import MultiDigraph
 from localcut.probability import (CutModel, EnumerationCapError, ProductSpace,
-                                  SpaceError, cond_prob, estimate_cond_prob,
-                                  exact_prob, risk_table_exact,
-                                  risk_table_from_json, space_from_json,
-                                  validate_cut_model, vertex_probabilities)
+                                  SpaceError, cond_prob, exact_prob,
+                                  risk_table_exact, risk_table_from_json,
+                                  space_from_json, validate_cut_model,
+                                  vertex_probabilities)
 
 from corpus import corpus
 
@@ -119,26 +119,6 @@ def test_float_enumeration_tracks_exact_on_many_variables():
     assert cond_prob(space, event, given) == float(
         fraction_prob(space, lambda pt: event(pt) and given(pt))
         / fraction_prob(space, given))
-
-
-def test_estimate_cond_prob_is_deterministic_and_calibrated():
-    space = biased_pair()
-
-    def event(pt):
-        return pt["y"] == "b"
-
-    def given(pt):
-        return pt["x"] == 1
-
-    a = estimate_cond_prob(space, event, given, 4000, seed=5)
-    b = estimate_cond_prob(space, event, given, 4000, seed=5)
-    assert a == b
-    assert a.conditioned and a.hits > 0
-    assert abs(a.estimate - 0.25) <= max(2.0 * a.half_width, 0.02)
-    none = estimate_cond_prob(space, event, lambda pt: False, 100, seed=5)
-    assert not none.conditioned and none.estimate == 0.0
-    with pytest.raises(ValueError):
-        estimate_cond_prob(space, event, given, 0, seed=5)
 
 
 def path_graph():
