@@ -17,32 +17,29 @@ import importlib
 _EXPORTS = {
     "core": """EnumerationCapError FixedPointResult IndeterminateError
         WeightReport""",
-    "digraph": """DigraphError Edge MultiDigraph NotOutClosedError
-        SimpleDigraph digraph_from_json digraph_to_json is_a_cut is_out_closed
-        min_product_weight min_product_weights reachable underlying_simple""",
+    "digraph": """DigraphError Edge MultiDigraph SimpleDigraph
+        digraph_from_json min_product_weights reachable underlying_simple""",
     "probability": """ProductSpace RiskTable SpaceError CutModel cond_prob
-        exact_prob risk_table_exact risk_table_from_json space_from_json
-        validate_cut_model vertex_probabilities""",
+        exact_prob risk_table_exact risk_table_from_json validate_cut_model
+        vertex_probabilities""",
     "engine": """CutInstance apply_risk_operator build_nonrep_instance
         check_weight_condition least_weight_solution probability_bounds
-        risk_of_edge telescoping_check""",
+        telescoping_check""",
     "families": """FamilyInstance apply_tau_operator boundary
-        check_family_condition check_tau_condition family_of
-        hypercube_digraph hypergraph_coloring_family least_tau_solution
-        validate_family_instance witness_bound""",
+        check_family_condition check_tau_condition hypercube_digraph
+        hypergraph_coloring_family least_tau_solution
+        validate_family_instance""",
     "lll": """LllError LllInstance auto_mu check_lopsided instance_from_json
         mu_to_tau""",
     "instances": """Graph Hypergraph InstanceError ListAssignment
         graph_from_json hypergraph_from_json lists_from_json
         random_graph_max_degree random_regular_uniform_hypergraph""",
     "thresholds": """FeasibilityResult SeriesCondition acyclic_feasible
-        critical_condition_check critical_min_slack critical_vertex_condition
-        greedy_peel hypergraph_two_coloring_max_degree
-        nonrepetitive_chromatic_bound nonrepetitive_sequence_feasible
-        scalar_feasible""",
+        critical_condition_check critical_min_slack greedy_peel
+        hypergraph_two_coloring_max_degree nonrepetitive_chromatic_bound
+        nonrepetitive_sequence_feasible scalar_feasible""",
     "choice": """ChoiceError ChoiceInstance MarginalWeights
-        check_expectation_condition defect extract_choice
-        multichoice_certificate randomized_choice_search""",
+        check_expectation_condition randomized_choice_search""",
     "samplers": """PaletteTooSmallError SamplerError SamplerReport
         greedy_acyclic_edge_coloring is_acyclic_edge_coloring is_nonrepetitive
         moser_tardos_two_coloring nonrep_sequence_build

@@ -2,13 +2,9 @@
 
 An instance fixes pairwise disjoint universes and a list of forbidden
 partial choice functions, each given as an element set touching every
-universe at most once.  A multichoice is any element subset; it certifies
-success when every universe keeps more elements than the count of
-forbidden functions fully contained in the multichoice (its defect).
-From a certified multichoice a concrete avoiding choice falls out
-greedily.  The expectation-side condition on inclusion marginals is
-checked in both of its algebraic forms, and a resampling search turns
-feasible marginals into an explicit choice when luck allows.
+universe at most once.  The expectation-side condition on inclusion
+marginals is checked in both of its algebraic forms, and a resampling
+search turns feasible marginals into an explicit choice when luck allows.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import CHOICE_CAP, TOL
-from .instances import Graph
 from .rng import Generator, pairwise_sum
 
 
@@ -85,36 +80,6 @@ class ChoiceInstance(_ChoiceInstanceFields):
         return tuple(tuple(js) for js in at)
 
 
-def _as_element_set(inst: ChoiceInstance, elements: Iterable[str],
-                    what: str) -> frozenset[str]:
-    chosen = frozenset(elements)
-    unknown = sorted(x for x in chosen if x not in inst.universe_of)
-    if unknown:
-        raise ChoiceError(f"{what} contains unknown element {unknown[0]!r}")
-    return chosen
-
-
-def defect(inst: ChoiceInstance, multichoice: Iterable[str], i: int) -> int:
-    """Number of forbidden sets through universe i fully inside the
-    multichoice."""
-    if not 0 <= i < len(inst.universes):
-        raise ChoiceError(f"universe index {i} out of range")
-    chosen = _as_element_set(inst, multichoice, "multichoice")
-    return sum(1 for j in inst.incident[i] if inst.forbidden[j] <= chosen)
-
-
-def multichoice_certificate(inst: ChoiceInstance,
-                            multichoice: Iterable[str]) -> bool:
-    """True when every universe keeps strictly more elements than its
-    defect, which guarantees an avoiding choice can be extracted."""
-    chosen = _as_element_set(inst, multichoice, "multichoice")
-    for i, universe in enumerate(inst.universes):
-        kept = sum(1 for x in universe if x in chosen)
-        if kept < 1 + defect(inst, chosen, i):
-            return False
-    return True
-
-
 def avoids_all(inst: ChoiceInstance, choice: Sequence[str]) -> bool:
     """A full choice avoids a forbidden set when it disagrees with it on
     at least one universe of its domain."""
@@ -125,35 +90,6 @@ def avoids_all(inst: ChoiceInstance, choice: Sequence[str]) -> bool:
             raise ChoiceError(f"choice entry {x!r} is not in universe {i}")
     picked = frozenset(choice)
     return all(not p <= picked for p in inst.forbidden)
-
-
-def extract_choice(inst: ChoiceInstance,
-                   multichoice: Iterable[str]) -> tuple[str, ...]:
-    """Greedy extraction from a certified multichoice.
-
-    In universe i, every contained forbidden set bans its one element
-    there; the defect bound leaves at least one element free, and the
-    smallest id among the free ones is taken.
-    """
-    chosen = _as_element_set(inst, multichoice, "multichoice")
-    if not multichoice_certificate(inst, chosen):
-        raise ChoiceError("multichoice is not certified")
-    picks: list[str] = []
-    for i, universe in enumerate(inst.universes):
-        banned = set()
-        for j in inst.incident[i]:
-            p = inst.forbidden[j]
-            if p <= chosen:
-                banned.update(x for x in p if inst.universe_of[x] == i)
-        free = sorted(x for x in universe if x in chosen and x not in banned)
-        if not free:
-            raise RuntimeError(f"certified multichoice left universe {i} "
-                               "with no free element")
-        picks.append(free[0])
-    choice = tuple(picks)
-    if not avoids_all(inst, choice):
-        raise RuntimeError("extracted choice fails the avoidance check")
-    return choice
 
 
 # ------------------------------------------------------ marginal weights
@@ -282,36 +218,21 @@ def randomized_choice_search(inst: ChoiceInstance, weights: MarginalWeights,
         resamples += 1
 
 
-# ------------------------------------------------------- example builder
-
-def list_coloring_choice(graph: Graph,
-                         lists: Mapping[str, Sequence[str]]
-                         ) -> ChoiceInstance:
-    """Proper list coloring as a choice instance: one universe of
-    vertex:color elements per vertex, one forbidden pair per edge and
-    shared color."""
-    missing = sorted(v for v in graph.vertices if v not in lists)
-    if missing:
-        raise ChoiceError(f"no color list for vertex {missing[0]!r}")
-    universes = [tuple(f"{v}:{c}" for c in lists[v])
-                 for v in graph.vertices]
-    forbidden = []
-    for edge in graph.edges:
-        u, v = sorted(edge)
-        for c in lists[u]:
-            if c in lists[v]:
-                forbidden.append((f"{u}:{c}", f"{v}:{c}"))
-    return ChoiceInstance.build(universes, forbidden)
-
-
 # ----------------------------------------------------------------- JSON
 
 def choice_from_json(obj: Mapping) -> ChoiceInstance:
     try:
         universes = obj["universes"]
         forbidden = obj.get("forbidden", [])
+        groups = [*universes, *forbidden]
     except (TypeError, KeyError) as exc:
         raise ChoiceError(f"malformed choice instance: {exc}") from exc
+    # str() in ChoiceInstance.build would read 2 as "2", and a string
+    # group as the set of its letters
+    if not all(isinstance(g, list) and all(isinstance(x, str) for x in g)
+               for g in groups):
+        raise ChoiceError("universes and forbidden sets must be lists of "
+                          "strings")
     return ChoiceInstance.build(universes, forbidden)
 
 
@@ -319,5 +240,7 @@ def marginals_from_json(inst: ChoiceInstance,
                         obj: Mapping[str, float]) -> MarginalWeights:
     if not isinstance(obj, Mapping):
         raise ChoiceError("weights must be an element-to-number map")
+    if not all(type(v) in (int, float) for v in obj.values()):  # not bools
+        raise ChoiceError("each weight must be a JSON number")
     return MarginalWeights.build(inst, {str(k): float(v)
                                         for k, v in obj.items()})

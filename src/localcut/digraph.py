@@ -20,10 +20,6 @@ class DigraphError(ValueError):
     """Malformed graph data: unknown endpoints, duplicate ids, bad weights."""
 
 
-class NotOutClosedError(DigraphError):
-    """A cut query was made against a vertex set that is not out-closed."""
-
-
 class Edge(NamedTuple):
     id: str
     tail: str
@@ -66,10 +62,6 @@ class MultiDigraph(_MultiDigraphFields):
         for e in self.edges:
             acc.setdefault((e.tail, e.head), []).append(e.id)
         return {arc: tuple(ids) for arc, ids in acc.items()}
-
-    def parallel_edges(self, tail: str, head: str) -> tuple[str, ...]:
-        """Ids of every edge on the arc (tail, head)."""
-        return self.edges_by_arc.get((tail, head), ())
 
 
 class _SimpleDigraphFields(NamedTuple):
@@ -152,40 +144,6 @@ def min_product_weights(simple: SimpleDigraph, weights: Mapping[Arc, float],
     return best
 
 
-def min_product_weight(simple: SimpleDigraph, weights: Mapping[Arc, float],
-                       start: str, target: str) -> float | None:
-    """Min product over directed start->target paths; None if unreachable."""
-    if target not in simple.vertices:
-        raise DigraphError(f"unknown vertex {target!r}")
-    return min_product_weights(simple, weights, start).get(target)
-
-
-def is_out_closed(simple: SimpleDigraph, vertex_set: Iterable[str]) -> bool:
-    """True iff every arc leaving the set stays inside it."""
-    inside = frozenset(vertex_set)
-    return all(head in inside
-               for tail, head in simple.arcs if tail in inside)
-
-
-def is_a_cut(graph: MultiDigraph, vertex_set: Iterable[str],
-             edge_set: Iterable[str]) -> bool:
-    """True iff edge_set hits every arc entering vertex_set from outside.
-
-    Raises NotOutClosedError when vertex_set is not out-closed in the
-    simple projection: the cut notion is only defined there.
-    """
-    inside = frozenset(vertex_set)
-    simple = underlying_simple(graph)
-    if not is_out_closed(simple, inside):
-        raise NotOutClosedError(f"{sorted(inside)} is not out-closed")
-    chosen = frozenset(edge_set)
-    for (tail, head), edge_ids in graph.edges_by_arc.items():
-        if tail not in inside and head in inside:
-            if not any(eid in chosen for eid in edge_ids):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------- JSON I/O
 
 def digraph_from_json(obj: dict) -> MultiDigraph:
@@ -197,12 +155,6 @@ def digraph_from_json(obj: dict) -> MultiDigraph:
         raise DigraphError(f"bad digraph object: {exc}") from exc
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise DigraphError("vertices must be a list of strings")
+    if not all(isinstance(eid, str) for eid, _, _ in edges):
+        raise DigraphError("edge ids must be strings")
     return MultiDigraph.build(vertices, edges)
-
-
-def digraph_to_json(graph: MultiDigraph) -> dict:
-    return {
-        "vertices": sorted(graph.vertices),
-        "edges": [{"id": e.id, "tail": e.tail, "head": e.head}
-                  for e in graph.edges],
-    }

@@ -126,16 +126,6 @@ def _edge_risk(row: EdgeRow, floor: float,
     return risk
 
 
-def risk_of_edge(inst: CutInstance, weights: Mapping[Arc, float],
-                 edge_id: str) -> float:
-    """Effective risk of one edge under the given weights."""
-    edge = inst.graph.edge_by_id[edge_id]
-    products = min_product_weights(inst.simple, weights, edge.tail)
-    arc = (edge.tail, edge.head)
-    row = inst.risk_rows[arc][inst.graph.edges_by_arc[arc].index(edge_id)]
-    return _edge_risk(row, _floor(inst, edge.head, products), products)
-
-
 def apply_risk_operator(inst: CutInstance,
                         weights: Mapping[Arc, float]) -> dict[Arc, float]:
     """One step of the monotone update: arc -> 1 + sum of edge risks.

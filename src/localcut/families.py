@@ -67,12 +67,6 @@ class FamilyInstance(NamedTuple):
         return FamilyInstance(g, space, member, evs, blockers)
 
 
-def family_of(inst: FamilyInstance, point: SamplePoint) -> frozenset[Subset]:
-    """The family at one sample point, listed explicitly."""
-    subsets = all_subsets(inst.ground)
-    return frozenset(s for s in subsets if inst.member(point, s))
-
-
 def all_subsets(ground: Sequence[str]) -> list[Subset]:
     out = []
     for r in range(len(ground) + 1):
@@ -277,21 +271,6 @@ def check_tau_condition(ground: Sequence[str], terms: Terms,
     return check_margins(tau, apply_tau_operator(ground, terms, tau), tol)
 
 
-def witness_bound(inst: FamilyInstance, event: Event, witness: Subset,
-                  tau: Mapping[str, float], *, p_bound: float | None = None,
-                  cap: int = ENUM_CAP) -> float:
-    """Worst conditional event probability times the witness weight product.
-
-    The conditional is maximized over subsets Z disjoint from the witness
-    set, conditioning on Z being a family member, and rounded up to a float;
-    Pr(cond) = 0 contributes 0.  With p_bound given, enumeration is skipped
-    and the bound is p_bound * tau(witness).
-    """
-    if p_bound is None:
-        p_bound = _worst_conditional(inst, event, witness, cap)
-    return p_bound * tau_of_set(tau, witness)
-
-
 def _worst_conditional(inst: FamilyInstance, event: Event, witness: Subset,
                        cap: int) -> float:
     outside = [i for i in inst.ground if i not in witness]
@@ -344,7 +323,9 @@ def check_family_condition(inst: FamilyInstance, tau: Mapping[str, float],
                            cap: int = ENUM_CAP) -> FamilyConditionReport:
     """Per-element margins of the weight condition, and the implied bound.
     An event's term is (p, witness), p the worst conditional probability
-    that witness_bound enumerates."""
+    of the event given that a subset Z disjoint from the witness is a
+    family member, rounded up to a float (0 where Pr(Z member) = 0).
+    sigma holds p * tau(witness) per event."""
     _check_witnesses(inst, witnesses)
     terms: dict[str, list] = {elem: [] for elem in inst.ground}
     sigma: dict[tuple[str, str], float] = {}

@@ -302,17 +302,6 @@ def vertex_probabilities(space: ProductSpace, model: CutModel, *,
 
 # ---------------------------------------------------------------- JSON I/O
 
-def space_from_json(obj: dict) -> ProductSpace:
-    """Parse {"variables": [{"name","values","weights"}, ...]}."""
-    try:
-        rows = obj["variables"]
-        triples = [(r["name"], r["values"], [float(w) for w in r["weights"]])
-                   for r in rows]
-    except (KeyError, TypeError) as exc:
-        raise SpaceError(f"bad product-space object: {exc}") from exc
-    return ProductSpace.build(triples)
-
-
 def risk_table_from_json(obj: dict,
                          graph: MultiDigraph | None = None) -> RiskTable:
     """Parse {"risks": [{"edge","z","p"}, ...]} into a table of the listed

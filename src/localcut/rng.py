@@ -138,11 +138,10 @@ class Generator:
         """Uniform in [0, 1) with 53 random bits."""
         return (self._next64() >> 11) * 2.0 ** -53
 
-    def choice(self, p: Sequence[float], size: int | None = None):
-        """An index drawn with probabilities p, or a list of `size` such
-        draws, like NumPy's `choice(len(p), size, p=p)`.  As there, p must
-        have no negative entry and sum to 1 within 2^-26, which no NaN
-        does."""
+    def choice(self, p: Sequence[float]) -> int:
+        """An index drawn with probabilities p, like NumPy's
+        `choice(len(p), p=p)`.  As there, p must have no negative entry and
+        sum to 1 within 2^-26, which no NaN does."""
         if any(x < 0 for x in p):
             raise ValueError("probabilities are not non-negative")
         if not abs(math.fsum(p) - 1.0) <= _SUM_ATOL:
@@ -150,9 +149,7 @@ class Generator:
         cdf = list(accumulate(p))
         last = cdf[-1]
         cdf = [c / last for c in cdf]
-        if size is None:
-            return bisect_right(cdf, self.random())
-        return [bisect_right(cdf, self.random()) for _ in range(size)]
+        return bisect_right(cdf, self.random())
 
 
 def pairwise_sum(values: Sequence[float]) -> float:

@@ -427,41 +427,6 @@ class DegreeProfile(NamedTuple):
                 + sum(count * g_weight(t, z) for t, count in self.b.items()))
 
 
-class VertexConditionReport(NamedTuple):
-    ok: bool
-    rhs: float
-    gamma: float
-
-
-def critical_vertex_condition(profile: DegreeProfile, k: int, c: float,
-                              z: float, tau: float,
-                              tol: float = TOL) -> VertexConditionReport:
-    """Direct per-vertex series condition for the peeling argument.
-
-    When gamma < k - c, both scalar requirements hold, and 2 tau <= k,
-    the series condition must follow; that reduction is re-asserted here
-    as an internal consistency check.
-    """
-    if k < 1 or not z > 1.0 or not tau >= 1.0:
-        raise ValueError("need k >= 1, z > 1, tau >= 1")
-    x = 2.0 * tau / k
-    rhs = 1.0
-    rhs += (profile.a.get(1, 0) * g_weight(1, z)
-            * (z / (z - 1.0)) * (tau / k))
-    for t, count in profile.a.items():
-        if t >= 2:
-            rhs += count * g_weight(t, z) * 0.5 * z * x ** t
-    for t, count in profile.b.items():
-        rhs += count * g_weight(t, z) * z * x ** (t - 1)
-    ok = tau >= rhs - tol
-    gamma = profile.gamma(z)
-    scalar = critical_condition_check(k, c, tau, z, tol)
-    if gamma < k - c and scalar.all_ok and x <= 1.0 and not ok:
-        raise RuntimeError("reduction violated: scalar requirements hold "
-                           "but the per-vertex series condition fails")
-    return VertexConditionReport(ok, rhs, gamma)
-
-
 class PeelResult(NamedTuple):
     status: str                   # "all-peeled" or "stopped"
     order: tuple[str, ...]

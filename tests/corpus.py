@@ -12,6 +12,10 @@ enumerable product spaces (at most 4096 outcomes):
 
 All four keep A out-closed and F an A-cut by construction, so every
 instance is a valid exact cut model.
+
+Two helpers serve several test modules: `digraph_to_json` writes a
+digraph in the input format `digraph_from_json` reads, and
+`risk_of_edge` is one edge's effective risk under given weights.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from localcut.digraph import MultiDigraph, reachable, underlying_simple
+from localcut import engine
+from localcut.digraph import (MultiDigraph, min_product_weights, reachable,
+                              underlying_simple)
 from localcut.probability import CutModel, ProductSpace
 
 CORPUS_SEED = 20230823
@@ -117,3 +123,21 @@ def make_instance(seed: int) -> CorpusInstance:
 
 def corpus(size: int = CORPUS_SIZE) -> list[CorpusInstance]:
     return [make_instance(CORPUS_SEED + i) for i in range(size)]
+
+
+def digraph_to_json(graph: MultiDigraph) -> dict:
+    return {
+        "vertices": sorted(graph.vertices),
+        "edges": [{"id": e.id, "tail": e.tail, "head": e.head}
+                  for e in graph.edges],
+    }
+
+
+def risk_of_edge(inst: engine.CutInstance, weights, edge_id: str) -> float:
+    """Effective risk of one edge under the given weights."""
+    edge = inst.graph.edge_by_id[edge_id]
+    products = min_product_weights(inst.simple, weights, edge.tail)
+    arc = (edge.tail, edge.head)
+    row = inst.risk_rows[arc][inst.graph.edges_by_arc[arc].index(edge_id)]
+    return engine._edge_risk(row, engine._floor(inst, edge.head, products),
+                             products)

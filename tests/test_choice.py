@@ -1,17 +1,12 @@
-"""Choice instances, defect certificates, marginal conditions, search."""
-
-import itertools
+"""Choice instances, marginal conditions, search."""
 
 import numpy as np
 import pytest
 
 from localcut.choice import (ChoiceError, ChoiceInstance, MarginalWeights,
                              avoids_all, check_expectation_condition,
-                             choice_from_json, defect, extract_choice,
-                             list_coloring_choice, marginals_from_json,
-                             multichoice_certificate,
+                             choice_from_json, marginals_from_json,
                              randomized_choice_search)
-from localcut.instances import Graph
 
 
 def crafted():
@@ -33,37 +28,6 @@ def test_build_validation():
         ChoiceInstance.build([("a", "b")], [("a", "b")])
     with pytest.raises(ChoiceError):
         ChoiceInstance.build([("a",)], [("zzz",)])
-
-
-def test_defect_counts():
-    inst = crafted()
-    everything = [x for u in inst.universes for x in u]
-    assert defect(inst, everything, 0) == 2
-    assert defect(inst, everything, 1) == 1
-    assert defect(inst, everything, 2) == 1
-    assert defect(inst, ("a1", "b1"), 0) == 1
-    assert defect(inst, ("a1",), 0) == 0
-    with pytest.raises(ChoiceError):
-        defect(inst, everything, 9)
-    with pytest.raises(ChoiceError):
-        defect(inst, ("nope",), 0)
-
-
-def test_certificate_and_extraction():
-    inst = crafted()
-    everything = [x for u in inst.universes for x in u]
-    assert multichoice_certificate(inst, everything)
-    assert extract_choice(inst, everything) == ("a3", "b2", "c2")
-
-    smaller = [x for x in everything if x != "a1"]
-    assert multichoice_certificate(inst, smaller)
-    # b1 is free again once a1 is gone; smallest id wins
-    assert extract_choice(inst, smaller) == ("a3", "b1", "c2")
-
-    thin = ("a1", "b1", "c1")
-    assert not multichoice_certificate(inst, thin)
-    with pytest.raises(ChoiceError):
-        extract_choice(inst, thin)
 
 
 def test_avoids_all_validation():
@@ -170,34 +134,6 @@ def test_randomized_search_cap_exhaustion():
     assert res.status == "cap-exhausted" and res.choice is None
     res = randomized_choice_search(inst, w, seed=2, cap=50)
     assert res.status == "found"
-
-
-def test_exhaustive_search_agrees_with_certificates():
-    inst = crafted()
-    avoiding = [c for c in itertools.product(*inst.universes)
-                if avoids_all(inst, c)]
-    assert avoiding
-    assert extract_choice(inst, [x for u in inst.universes for x in u]) \
-        in avoiding
-
-
-def test_list_coloring_builder():
-    g = Graph.build(["a", "b"], [("a", "b")])
-    lists = {"a": ["1", "2", "3", "4"], "b": ["3", "4", "5", "6"]}
-    inst = list_coloring_choice(g, lists)
-    assert len(inst.universes) == 2
-    assert len(inst.forbidden) == 2     # shared colors 3 and 4
-    w = MarginalWeights.build(inst, {x: 1.0 for u in inst.universes
-                                     for x in u})
-    rep = check_expectation_condition(inst, w)
-    assert rep.feasible
-    res = randomized_choice_search(inst, w, seed=9)
-    assert res.status == "found"
-    picked = {x.split(":")[0]: x.split(":")[1] for x in res.choice}
-    assert picked["a"] != picked["b"]
-
-    with pytest.raises(ChoiceError):
-        list_coloring_choice(g, {"a": ["1"]})
 
 
 def test_json_parsing():

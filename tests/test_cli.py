@@ -111,6 +111,10 @@ FAMILY = {"ground": ["a", "b"],
 
 LLL = {"n": 2, "gamma": [[2], [1]], "p": [0.125, 0.125], "mu": [0.25, 0.25]}
 
+CHOICE = {"universes": [["a1", "a2"], ["b1", "b2"]],
+          "forbidden": [["a1", "b1"]],
+          "p": {"a1": 1.0, "a2": 1.0, "b1": 1.0, "b2": 1.0}}
+
 
 @pytest.mark.parametrize("subcommand, weights", [
     ("check-family", [1, 2]),
@@ -142,11 +146,24 @@ def test_malformed_or_non_finite_weights_exit_2(subcommand, weights,
         {"element": "a", "p": 0.125, "witness": "ab"}]}),
     ("check-family", {**FAMILY, "events": [
         {"element": "a", "p": "0.125", "witness": ["a"]}]}),
-], ids=["risk-string", "risk-bool", "witness-string", "event-p-string"])
+    ("choice", {**CHOICE, "p": {**CHOICE["p"], "a1": "1.0"}}),
+    ("choice", {**CHOICE, "p": {**CHOICE["p"], "a2": True}}),
+    ("choice", {"universes": [["a1", "a2"], ["b1", 2]],
+                "forbidden": [["a1", "b1"]],
+                "p": {"a1": 1.0, "a2": 1.0, "b1": 1.0, "2": 1.0}}),
+    ("choice", {"universes": ["ab", "cd"],
+                "p": {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}}),
+    ("check-lcl", {"digraph": {
+        "vertices": ["x", "y"],
+        "edges": [{"id": 1, "tail": "x", "head": "y"}]},
+        "risks": [{"edge": 1, "z": "y", "p": 0.5}]}),
+], ids=["risk-string", "risk-bool", "witness-string", "event-p-string",
+        "choice-p-string", "choice-p-bool", "choice-integer-element",
+        "choice-string-universe", "edge-integer-id"])
 def test_inputs_that_read_as_results_exit_2(subcommand, payload, tmp_path,
                                             capsys):
-    # a string or bool read as a number, or a string read as the set of
-    # its letters, once gave a verdict
+    # a string or bool read as a number, a string read as the set of its
+    # letters, or a number read as a string id once gave a verdict
     code, out, err = run([subcommand, write(tmp_path, "inst.json", payload)],
                          capsys)
     assert code == 2 and out == "" and err.startswith("error: ")
@@ -926,7 +943,7 @@ STARTUP_TABLE = [
      CUT_ENGINE),
     (["check-lll", "lll.json", "--auto-mu"],
      CUT_ENGINE | {"localcut.families"}),
-    (["choice", "choice.json"], CUT_ENGINE),
+    (["choice", "choice.json"], CUT_ENGINE | {"localcut.instances"}),
     (["sample", "2col", "--n", "8", "--k", "4", "--d", "1"], CUT_ENGINE),
     (["check-family", "family.json"], {"localcut.engine"}),
     (["validate-model", "hypcol2", "--n", "6", "--k", "3", "--d", "1"],
@@ -954,37 +971,35 @@ def test_sample_pool_runs_from_a_fresh_process():
 
 # today's public names; each must be the object its defining module holds
 PUBLIC_NAMES = set("""
-    ChoiceError ChoiceInstance CutInstance CutModel
-    DigraphError Edge EnumerationCapError FamilyInstance FeasibilityResult
-    FixedPointResult Graph Hypergraph IndeterminateError InstanceError
-    ListAssignment LllError LllInstance MarginalWeights
-    MultiDigraph NotOutClosedError PaletteTooSmallError ProductSpace
-    RiskTable SamplerError SamplerReport SeriesCondition SimpleDigraph
-    SpaceError WeightReport acyclic_feasible apply_risk_operator
-    apply_tau_operator auto_mu boundary build_nonrep_instance
-    check_expectation_condition check_family_condition check_lopsided
-    check_tau_condition check_weight_condition cond_prob
-    critical_condition_check critical_min_slack critical_vertex_condition
-    defect digraph_from_json digraph_to_json exact_prob
-    extract_choice family_of graph_from_json greedy_acyclic_edge_coloring
-    greedy_peel hypercube_digraph hypergraph_coloring_family
+    ChoiceError ChoiceInstance CutInstance CutModel DigraphError
+    Edge EnumerationCapError FamilyInstance FeasibilityResult
+    FixedPointResult Graph Hypergraph IndeterminateError
+    InstanceError ListAssignment LllError LllInstance
+    MarginalWeights MultiDigraph PaletteTooSmallError ProductSpace
+    RiskTable SamplerError SamplerReport SeriesCondition
+    SimpleDigraph SpaceError WeightReport acyclic_feasible
+    apply_risk_operator apply_tau_operator auto_mu boundary
+    build_nonrep_instance check_expectation_condition
+    check_family_condition check_lopsided check_tau_condition
+    check_weight_condition cond_prob critical_condition_check
+    critical_min_slack digraph_from_json exact_prob
+    graph_from_json greedy_acyclic_edge_coloring greedy_peel
+    hypercube_digraph hypergraph_coloring_family
     hypergraph_from_json hypergraph_two_coloring_max_degree
-    instance_from_json is_a_cut is_acyclic_edge_coloring is_nonrepetitive
-    is_out_closed least_tau_solution
-    least_weight_solution lists_from_json min_product_weight
+    instance_from_json is_acyclic_edge_coloring is_nonrepetitive
+    least_tau_solution least_weight_solution lists_from_json
     min_product_weights moser_tardos_two_coloring mu_to_tau
-    multichoice_certificate nonrep_sequence_build
-    nonrepetitive_chromatic_bound nonrepetitive_sequence_feasible
-    probability_bounds random_graph_max_degree
-    random_regular_uniform_hypergraph randomized_choice_search reachable
-    risk_of_edge risk_table_exact risk_table_from_json scalar_feasible
-    space_from_json telescoping_check underlying_simple validate_cut_model
-    validate_family_instance verify_proper_2coloring vertex_probabilities
-    witness_bound""".split())
+    nonrep_sequence_build nonrepetitive_chromatic_bound
+    nonrepetitive_sequence_feasible probability_bounds
+    random_graph_max_degree random_regular_uniform_hypergraph
+    randomized_choice_search reachable risk_table_exact
+    risk_table_from_json scalar_feasible telescoping_check
+    underlying_simple validate_cut_model validate_family_instance
+    verify_proper_2coloring vertex_probabilities""".split())
 
 
 def test_package_names_resolve_to_their_modules():
-    assert len(PUBLIC_NAMES) == 90
+    assert len(PUBLIC_NAMES) == 77
     assert set(localcut.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         value = getattr(localcut, name)
@@ -1001,7 +1016,6 @@ def test_package_names_resolve_to_their_modules():
 
 HANDLER_ERRORS = [
     ("localcut.digraph", "DigraphError", (), 2),
-    ("localcut.digraph", "NotOutClosedError", (), 2),
     ("localcut.probability", "SpaceError", (), 2),
     ("localcut.instances", "InstanceError", (), 2),
     ("localcut.lll", "LllError", (), 2),

@@ -16,10 +16,10 @@ from localcut.digraph import (DigraphError, MultiDigraph,
                               underlying_simple)
 from localcut.engine import (TOL, CutInstance, apply_risk_operator,
                              build_nonrep_instance, kleene,
-                             least_weight_solution, risk_of_edge)
+                             least_weight_solution)
 from localcut.probability import risk_table_exact, risk_table_from_json
 
-from corpus import corpus
+from corpus import corpus, digraph_to_json, risk_of_edge
 
 
 def dense_risk(inst, weights, edge_id):
@@ -191,7 +191,6 @@ def test_check_lcl_searches_each_vertex_once_and_validates_once(
 
     from localcut import digraph
     from localcut.cli import main
-    from localcut.digraph import digraph_to_json
     from localcut.probability import RiskTable
     inst = build_nonrep_instance([[0, 1, 2, 3]] * 20, risk_mode="bound")
     path = tmp_path / "inst.json"

@@ -1,17 +1,17 @@
-"""Digraph layer: construction, reachability, min-product paths, cuts."""
+"""Digraph layer: construction, reachability, min-product paths, and the
+cut check that cut models are validated with."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from localcut.digraph import (DigraphError, MultiDigraph, NotOutClosedError,
-                              digraph_from_json, digraph_to_json,
-                              is_a_cut, is_out_closed, min_product_weight,
+from localcut.digraph import (DigraphError, MultiDigraph, digraph_from_json,
                               min_product_weights, reachable,
                               underlying_simple)
+from localcut.probability import _cut_checker
 
-from corpus import random_multidigraph
+from corpus import digraph_to_json, random_multidigraph
 
 
 def diamond():
@@ -32,8 +32,8 @@ def test_build_rejects_bad_input():
 
 def test_parallel_edges_and_arcs():
     g = diamond()
-    assert g.parallel_edges("a", "b") == ("e1", "e5")
-    assert g.parallel_edges("b", "a") == ()
+    assert g.edges_by_arc[("a", "b")] == ("e1", "e5")
+    assert ("b", "a") not in g.edges_by_arc
     simple = underlying_simple(g)
     assert ("a", "b") in simple.arcs
     assert len(simple.arcs) == 4
@@ -86,10 +86,10 @@ def test_min_product_self_and_unreachable():
     g = diamond()
     simple = underlying_simple(g)
     weights = {arc: 2.0 for arc in simple.arcs}
-    assert min_product_weight(simple, weights, "a", "a") == 1.0
-    assert min_product_weight(simple, weights, "d", "a") is None
+    assert min_product_weights(simple, weights, "a")["a"] == 1.0
+    assert "a" not in min_product_weights(simple, weights, "d")
     with pytest.raises(DigraphError):
-        min_product_weight(simple, weights, "a", "zzz")
+        min_product_weights(simple, weights, "zzz")
 
 
 def test_weights_below_one_rejected():
@@ -103,37 +103,35 @@ def test_weights_below_one_rejected():
         min_product_weights(simple, {}, "a")
 
 
-def test_out_closed_sets():
-    simple = underlying_simple(diamond())
-    assert is_out_closed(simple, {"d"})
-    assert is_out_closed(simple, {"b", "c", "d"})
-    assert is_out_closed(simple, set())
-    assert not is_out_closed(simple, {"a"})
-
-
 def test_is_a_cut():
-    g = diamond()
+    check = _cut_checker(diamond())
     # arcs entering {d}: (b,d) and (c,d)
-    assert is_a_cut(g, {"d"}, {"e3", "e4"})
-    assert not is_a_cut(g, {"d"}, {"e3"})
+    assert check(frozenset({"d"}), frozenset({"e3", "e4"})) is None
+    assert check(frozenset({"d"}), frozenset({"e3"})) == \
+        "F misses boundary arc (c,d)"
     # one parallel edge of the (a,b) arc is enough for {b,c,d}
-    assert is_a_cut(g, {"b", "c", "d"}, {"e1", "e2"})
-    assert is_a_cut(g, {"b", "c", "d"}, {"e5", "e2"})
-    assert not is_a_cut(g, {"b", "c", "d"}, {"e1"})
-    with pytest.raises(NotOutClosedError):
-        is_a_cut(g, {"a"}, set())
+    assert check(frozenset({"b", "c", "d"}), frozenset({"e1", "e2"})) is None
+    assert check(frozenset({"b", "c", "d"}), frozenset({"e5", "e2"})) is None
+    assert check(frozenset({"b", "c", "d"}), frozenset({"e1"})) == \
+        "F misses boundary arc (a,c)"
+    assert check(frozenset({"a"}), frozenset()).startswith(
+        "A not out-closed")
 
 
 def test_every_arc_cut_is_always_valid():
+    # F = every edge is a cut of exactly the out-closed vertex sets
     rng = np.random.default_rng(11)
     for _ in range(40):
         g = random_multidigraph(rng)
         simple = underlying_simple(g)
-        all_edges = {e.id for e in g.edges}
+        check = _cut_checker(g)
+        all_edges = frozenset(e.id for e in g.edges)
         for r in range(len(g.vertices) + 1):
             for combo in itertools.combinations(sorted(g.vertices), r):
-                if is_out_closed(simple, combo):
-                    assert is_a_cut(g, combo, all_edges)
+                inside = frozenset(combo)
+                closed = all(head in inside for tail, head in simple.arcs
+                             if tail in inside)
+                assert (check(inside, all_edges) is None) == closed
 
 
 def test_json_round_trip():

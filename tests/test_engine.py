@@ -7,11 +7,10 @@ from localcut.digraph import DigraphError, MultiDigraph
 from localcut.engine import (CutInstance, IndeterminateError,
                              apply_risk_operator, build_nonrep_instance,
                              check_weight_condition, least_weight_solution,
-                             probability_bounds, risk_of_edge,
-                             telescoping_check)
+                             probability_bounds, telescoping_check)
 from localcut.probability import RiskTable, validate_cut_model
 
-from corpus import corpus
+from corpus import corpus, risk_of_edge
 
 
 def single_arc(p):

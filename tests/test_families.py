@@ -6,10 +6,9 @@ from localcut.digraph import min_product_weights, underlying_simple
 from localcut.engine import (CutInstance, IndeterminateError,
                              check_weight_condition)
 from localcut.families import (FamilyInstance, boundary,
-                               check_family_condition, family_of,
-                               hypercube_digraph, hypergraph_coloring_family,
-                               least_tau_solution, subset_id, tau_of_set,
-                               validate_family_instance, witness_bound)
+                               check_family_condition, hypercube_digraph,
+                               hypergraph_coloring_family, least_tau_solution,
+                               subset_id, tau_of_set, validate_family_instance)
 from localcut.instances import Hypergraph
 from localcut.probability import (ProductSpace, exact_prob, risk_table_exact,
                                   validate_cut_model)
@@ -85,16 +84,6 @@ def test_triangle_condition_below_two_fails():
     assert min(rep.margins.values()) == pytest.approx(-0.0625, abs=1e-12)
 
 
-def test_witness_bound_p_bound_shortcut_matches_enumeration():
-    inst, witnesses = triangle_family()
-    tau = {i: 2.0 for i in inst.ground}
-    label, event = inst.events[inst.ground[0]][0]
-    w = witnesses[(inst.ground[0], label)]
-    enumerated = witness_bound(inst, event, w, tau)
-    shortcut = witness_bound(inst, event, w, tau, p_bound=0.25)
-    assert enumerated == pytest.approx(shortcut, abs=1e-12)
-
-
 def test_condition_input_validation():
     inst, witnesses = triangle_family()
     with pytest.raises(ValueError):
@@ -142,14 +131,6 @@ def test_up_family_margins_are_exact():
     truth = exact_prob(inst.space,
                        lambda pt: inst.member(pt, frozenset(inst.ground)))
     assert truth == pytest.approx(rep.bound, abs=1e-12)
-
-
-def test_family_of_lists_members():
-    inst, _ = up_family({"u": 0.5})
-    fam = family_of(inst, {"b_u": 1})
-    assert fam == frozenset({frozenset(), frozenset({"u"})})
-    fam = family_of(inst, {"b_u": 0})
-    assert fam == frozenset({frozenset()})
 
 
 # ------------------------------------------------ subset-lattice reduction

@@ -10,8 +10,7 @@ from localcut.digraph import MultiDigraph
 from localcut.probability import (CutModel, EnumerationCapError, ProductSpace,
                                   SpaceError, cond_prob, exact_prob,
                                   risk_table_exact, risk_table_from_json,
-                                  space_from_json, validate_cut_model,
-                                  vertex_probabilities)
+                                  validate_cut_model, vertex_probabilities)
 
 from corpus import corpus
 
@@ -218,10 +217,3 @@ def test_risk_table_from_json_stores_only_listed_rows():
             risk_table_from_json(
                 {"risks": [{"edge": edge, "z": z, "p": 0.5}]}, g)
 
-
-def test_space_json_round_trip():
-    space = space_from_json({"variables": [
-        {"name": "x", "values": [0, 1], "weights": [0.5, 0.5]}]})
-    assert space.n_outcomes == 2
-    with pytest.raises(SpaceError):
-        space_from_json({"variables": [{"name": "x", "values": [0, 1]}]})

@@ -30,8 +30,8 @@ from localcut.digraph import MultiDigraph, head_reach, underlying_simple
 from localcut.engine import build_nonrep_instance
 from localcut.families import (FamilyInstance, _worst_conditional,
                                all_subsets, boundary, check_family_condition,
-                               family_of, hypergraph_coloring_family,
-                               tau_of_set, validate_family_instance)
+                               hypergraph_coloring_family, tau_of_set,
+                               validate_family_instance)
 from localcut.instances import Hypergraph, random_regular_uniform_hypergraph
 from localcut.probability import (CutModel, EnumerationCapError, ModelCheck,
                                   ProductSpace, risk_table_exact,
@@ -442,6 +442,12 @@ def test_nonrep_scan_is_right_in_any_call_order():
 
 
 # ------------------------------------------------------ family validation
+
+def family_of(inst, point):
+    """The family at one sample point, listed explicitly."""
+    return frozenset(s for s in all_subsets(inst.ground)
+                     if inst.member(point, s))
+
 
 def reference_boundary(family, ground):
     """Frozenset algebra; the first offending member in all_subsets order

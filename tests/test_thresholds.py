@@ -10,8 +10,7 @@ from localcut.thresholds import (DegreeProfile, SeriesCondition,
                                  acyclic_condition, acyclic_feasible,
                                  chromatic_condition,
                                  critical_condition_check, critical_min_slack,
-                                 critical_vertex_condition, g_weight,
-                                 greedy_peel,
+                                 g_weight, greedy_peel,
                                  hypergraph_two_coloring_max_degree,
                                  nonrepetitive_chromatic_bound,
                                  nonrepetitive_sequence_feasible,
@@ -243,28 +242,6 @@ def test_degree_profile_validation_and_gamma():
         DegreeProfile.build({0: 1}, {})
     with pytest.raises(ValueError):
         DegreeProfile.build({1: -1}, {})
-
-
-def test_vertex_condition_collapses_to_z_free_form():
-    prof = DegreeProfile.build({1: 3, 2: 1, 4: 2}, {2: 1, 3: 2})
-    k, tau = 16, 1.5
-    simplified = 1.0
-    for t, cnt in prof.a.items():
-        simplified += cnt * (tau / k) ** t
-    for t, cnt in prof.b.items():
-        simplified += cnt * (tau / k) ** (t - 1)
-    for z in (1.5, 2.0, 5.0, 40.0):
-        rep = critical_vertex_condition(prof, k, 4.0, z, tau)
-        assert rep.rhs == pytest.approx(simplified, rel=1e-12)
-        assert rep.ok == (tau >= simplified - 1e-12)
-
-
-def test_vertex_condition_guards():
-    prof = DegreeProfile.build({1: 1}, {})
-    with pytest.raises(ValueError):
-        critical_vertex_condition(prof, 16, 4.0, 1.0, 1.5)
-    with pytest.raises(ValueError):
-        critical_vertex_condition(prof, 16, 4.0, 2.0, 0.5)
 
 
 # -------------------------------------------------------- greedy peel
