@@ -1,13 +1,14 @@
 """What every solve and check shares: the tolerance and cap constants, the
-monotone (Kleene) iteration, the margin rule and the errors that end a run.
-It imports nothing from localcut, so loading it loads no cut engine.
+monotone (Kleene) iteration, the row folds that solvers compile their
+steps into, the margin rule and the errors that end a run.  It imports
+nothing from localcut, so loading it loads no cut engine.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import sub
-from typing import Callable, Mapping, NamedTuple
+from itertools import chain, groupby, islice
+from operator import itemgetter, le, sub
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 TOL = 1e-12
 ITER_CAP = 10 ** 5            # operator applications of one solve
@@ -79,6 +80,50 @@ def kleene(operator: Callable[[dict], dict], start: Mapping,
     raise IndeterminateError(
         f"no convergence or divergence within {iter_cap} iterations",
         applications)
+
+
+def pick(keys: Sequence) -> Callable[[Sequence], tuple]:
+    """itemgetter(*keys), but a tuple for one key or none too."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    return lambda values: tuple(map(values.__getitem__, keys))
+
+
+def row_folds(rows: Sequence[Sequence[int]], op: Callable,
+              start: float | None = None) -> Callable[[Sequence], Sequence]:
+    """Compile rows of positions into one step over a value sequence: per
+    row, `acc = op(acc, value)` over the values at its positions, in the
+    row's order, as a Python loop would.  `acc` starts at `start`, or with
+    start None at the row's first value (every row then needs one).
+
+    Rows of one length form a group, and each column of a group is one
+    C-level `map`, so a step loops in Python only over the columns of the
+    distinct lengths, and its work is the total row length.  Each column's
+    fold is kept as a list, so a long row nests no iterators."""
+    lengths = list(map(len, rows))
+    rank = range(len(rows))
+    ordered = all(map(le, lengths, islice(lengths, 1, None)))
+    order = rank if ordered else sorted(rank, key=lengths.__getitem__)
+    plan = []
+    for _, members in groupby(order, lengths.__getitem__):
+        group = list(map(rows.__getitem__, members))
+        columns = list(map(pick, zip(*group)))
+        if start is not None:       # a first column that reads `start`
+            columns.insert(0, lambda values, first=(start,) * len(group):
+                           first)
+        plan.append(columns)
+    back = None if ordered else pick(sorted(rank, key=order.__getitem__))
+
+    def step(values: Sequence) -> Sequence:
+        out: list = []
+        for first, *columns in plan:
+            acc = first(values)
+            for column in columns:
+                acc = list(map(op, acc, column(values)))
+            out.extend(acc)
+        return out if back is None else back(out)
+
+    return step
 
 
 class WeightReport(NamedTuple):

@@ -17,14 +17,15 @@ the zero function (whose image is defined to be the all-ones function).
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from operator import itemgetter
-from typing import Mapping, NamedTuple, Sequence
+from functools import cached_property, reduce
+from itertools import accumulate, repeat
+from operator import add, itemgetter, mul
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 # the shared names stay importable from here, where callers found them
 from .core import (ENUM_CAP, ITER_CAP, TOL, VALUE_CAP,  # noqa: F401
                    FixedPointResult, IndeterminateError, WeightReport,
-                   check_margins, kleene)
+                   check_margins, kleene, pick, row_folds)
 from .digraph import (Arc, MultiDigraph, SimpleDigraph, check_weights,
                       head_reach, min_product_weights, reachable,
                       underlying_simple)
@@ -96,6 +97,79 @@ class CutInstance(_CutInstanceFields):
             rows[arc] = tuple(row)
         return rows
 
+    @cached_property
+    def walk_step(self) -> Callable[[Mapping[Arc, float]], dict] | None:
+        """`_risk_update` compiled once, when every vertex of the simple
+        projection has out-degree <= 1; None otherwise.
+
+        The vertices reachable from a tail are then the walk that follows
+        each vertex's one out-arc, and its cheapest path products are the
+        running products along that walk: the same factors, in the same
+        order, as the cheapest-first search, so the same floats.  A walk
+        is cut after the farthest position that its arc's rows read.
+        Each edge's risk folds builtin min, which replaces only by a
+        smaller value, over the row's start and r * P(z) in row order, so
+        a NaN from 0 * inf is skipped as in `_edge_risk`; each arc's risks
+        are summed left to right from 0.0, in `edges_by_arc` order.
+        """
+        succ: dict[str, str] = {}
+        for tail, head in self.simple.arcs:
+            if tail in succ:
+                return None
+            succ[tail] = head
+        arcs = tuple(self.simple.arcs)
+        out_arc = {tail: k for k, (tail, _) in enumerate(arcs)}
+        walks, positions, factors, candidates, edges = [], [], [], [], []
+        offset = 0          # where the arc's products start among all arcs'
+        for tail, head in arcs:
+            walk, at = [tail], {tail: 0}
+            nxt = succ[tail]
+            while nxt not in at:
+                at[nxt] = len(walk)
+                walk.append(nxt)
+                nxt = succ.get(nxt, tail)       # a sink ends the walk
+            floor = _floor_at(walk, self.reach[head])
+            places = []
+            first = len(candidates)
+            for pairs, capped in self.risk_rows[(tail, head)]:
+                # the row's start: the floor, or inf (times 1.0) uncapped
+                row = [(floor, 1.0) if capped else (0, math.inf)]
+                row += [(at[z], r) for z, r in pairs]
+                candidates.append(range(len(factors), len(factors) + len(row)))
+                for place, factor in row:
+                    places.append(place)
+                    factors.append(factor)
+            far = max(places)
+            positions += [offset + place for place in places]
+            walks.append(pick([out_arc[v] for v in walk[:far]]))
+            edges.append(slice(first, len(candidates)))
+            offset += far + 1
+        simple, ordered, scaled = self.simple, pick(arcs), pick(positions)
+        edge_risks = row_folds(candidates, min)
+
+        def step(weights: Mapping[Arc, float]) -> dict[Arc, float]:
+            check_weights(simple, weights)
+            weight = ordered(weights)
+            products: list[float] = []
+            for walk in walks:
+                products += accumulate(walk(weight), mul, initial=1.0)
+            risks = edge_risks(list(map(mul, factors, scaled(products))))
+            totals = map(reduce, repeat(add), map(risks.__getitem__, edges),
+                         repeat(0.0))
+            return dict(zip(arcs, map(add, repeat(1.0), totals)))
+
+        return step
+
+
+def _floor_at(walk: list[str], reach_head: frozenset[str]) -> int:
+    """The position along a tail's walk of its arc's floor, the least
+    product over reach(head).  Products never decrease along a walk, as
+    fl(x * w) >= x for w >= 1 (inf included), so it is the earliest
+    position in reach(head): the head's, 1, or the tail's, 0, whose
+    product is 1.0, when the walk returns to the tail (a self-loop
+    included)."""
+    return 0 if walk[0] in reach_head else 1
+
 
 def _tail_products(inst: CutInstance,
                    weights: Mapping[Arc, float]) -> dict[str, dict[str, float]]:
@@ -132,11 +206,15 @@ def apply_risk_operator(inst: CutInstance,
 
     The all-zero input is the conventional starting point and maps to the
     all-ones function; otherwise every entry must be >= 1 (path products
-    below 1 would break the cheapest-first search).
+    below 1 would break the cheapest-first search).  The solver's step:
+    on a digraph of out-degree <= 1 it runs the instance's `walk_step`,
+    which gives `_risk_update`'s floats; check_weight_condition judges by
+    `_risk_update` itself.
     """
     if all(w == 0.0 for w in weights.values()):
         return {arc: 1.0 for arc in inst.simple.arcs}
-    return _risk_update(inst, weights)
+    step = inst.walk_step
+    return _risk_update(inst, weights) if step is None else step(weights)
 
 
 def _risk_update(inst: CutInstance,

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import add, mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (ENUM_CAP, ITER_CAP, TOL, EnumerationCapError,
-                   FixedPointResult, WeightReport, check_margins, kleene)
+                   FixedPointResult, WeightReport, check_margins, kleene,
+                   pick, row_folds)
 from .digraph import MultiDigraph
 from .instances import Hypergraph
 from .probability import (CutModel, Event, ProductSpace, SamplePoint,
@@ -425,8 +427,42 @@ def least_tau_solution(ground: Sequence[str], terms: Terms,
             if p < 0.0:
                 raise ValueError("negative probability bound")
 
-    return kleene(lambda tau: apply_tau_operator(ground, terms, tau),
-                  dict.fromkeys(ground, 0.0), tol, iter_cap)
+    return kleene(_tau_step(ground, terms), dict.fromkeys(ground, 0.0), tol,
+                  iter_cap)
+
+
+def _tau_step(ground: Sequence[str],
+              terms: Terms) -> Callable[[Mapping[str, float]], dict]:
+    """`apply_tau_operator` compiled once into index columns, the solver's
+    step; the same floats in the same order.
+
+    Witness products multiply by column, in each witness's iteration
+    order, from its first weight, which `math.prod` multiplies into 1
+    exactly; term sums add by column from 0.0, as the plain operator's
+    `+=` does.  Rows are grouped by length, not padded, so a step's work
+    is the total witness size.
+    """
+    keys = list(dict.fromkeys(ground))
+    index = {elem: k for k, elem in enumerate(keys)}
+    probs: list[float] = []
+    witnesses: list[tuple[int, ...]] = []
+    loads: list[range] = []         # per element, its terms' positions
+    for elem in keys:
+        first = len(probs)
+        for p, witness in terms.get(elem, ()):
+            probs.append(p)
+            witnesses.append(tuple(map(index.__getitem__, witness)))
+        loads.append(range(first, len(probs)))
+    weights = pick(keys)
+    products = row_folds(witnesses, mul)     # a witness holds its element
+    totals = row_folds(loads, add, 0.0)
+
+    def step(tau: Mapping[str, float]) -> dict[str, float]:
+        loaded = list(map(mul, probs, products(weights(tau))))
+        return dict(zip(keys, map(add, itertools.repeat(1.0),
+                                  totals(loaded))))
+
+    return step
 
 
 # ------------------------------------------- proper-coloring family builder

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 
 class InstanceError(ValueError):

@@ -12,9 +12,11 @@ reproduces the same bound.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import gt, mul, sub, truediv
 from typing import Iterable, Mapping, NamedTuple
 
-from .core import ITER_CAP, TOL, FixedPointResult, kleene
+from .core import ITER_CAP, TOL, FixedPointResult, kleene, pick, row_folds
 
 
 class LllError(ValueError):
@@ -163,10 +165,21 @@ def auto_mu(probs: Mapping[int, float], gamma: Mapping[int, frozenset[int]],
         if i in gamma[i]:
             raise LllError(f"gamma[{i}] contains {i}")
 
+    # each Gamma row as positions, in its iteration order, so a step
+    # multiplies the 1 - mu_j of a list as _keep_products does its table's
+    at = {i: k for k, i in enumerate(idx)}
+    levels = pick(idx)
+    keep_products = row_folds([[at[j] for j in gamma[i]] for i in idx], mul,
+                              1.0)
+    ps = list(map(probs.__getitem__, idx))
+
     def operator(mu: dict[int, float]) -> dict[int, float]:
-        products = _keep_products(mu, map(gamma.__getitem__, idx))
+        products = keep_products(list(map(sub, repeat(1.0), levels(mu))))
+        # a product that underflows to 0 reads as an infinite level
+        if all(map(gt, products, repeat(0.0))):
+            return dict(zip(idx, map(truediv, ps, products)))
         return {i: p / d if d > 0.0 else math.inf
-                for i, p, d in zip(idx, map(probs.__getitem__, idx), products)}
+                for i, p, d in zip(idx, ps, products)}
 
     # the largest float below 1 as the cap: an entry >= 1 is infeasible
     return kleene(operator, {i: probs[i] for i in idx}, tol, iter_cap,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple
 
 from .core import TOL
 from .instances import Hypergraph
@@ -421,10 +421,6 @@ class DegreeProfile(NamedTuple):
                 raise ValueError(f"bad full-edge count {count} at size {t}")
         return DegreeProfile({t: int(v) for t, v in a.items() if v},
                              {t: int(v) for t, v in b.items() if v})
-
-    def gamma(self, z: float) -> float:
-        return (sum(count * g_weight(t, z) for t, count in self.a.items())
-                + sum(count * g_weight(t, z) for t, count in self.b.items()))
 
 
 class PeelResult(NamedTuple):

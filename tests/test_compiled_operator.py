@@ -1,33 +1,43 @@
 """The compiled risk operator against a dense reference.
 
 `CutInstance` keeps reachability and sparse per-arc risk rows across
-operator applications.  The reference below is the plain definition: for
-every edge, the minimum over all z reachable from its head of
-r(e, z) * P(tail, z), with reachability searched afresh.  Results must
-agree exactly, float for float.
+operator applications, and on a digraph whose vertices have out-degree
+<= 1 the solver steps its compiled `walk_step`.  The reference below is
+the plain definition: for every edge, the minimum over all z reachable
+from its head of r(e, z) * P(tail, z), with reachability searched
+afresh.  Results must agree exactly, float for float.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from localcut import engine
-from localcut.digraph import (DigraphError, MultiDigraph,
+from localcut.digraph import (DigraphError, MultiDigraph, head_reach,
                               min_product_weights, reachable,
                               underlying_simple)
-from localcut.engine import (TOL, CutInstance, apply_risk_operator,
-                             build_nonrep_instance, kleene,
-                             least_weight_solution)
-from localcut.probability import risk_table_exact, risk_table_from_json
+from localcut.engine import (TOL, CutInstance, IndeterminateError,
+                             apply_risk_operator, build_nonrep_instance,
+                             kleene, least_weight_solution)
+from localcut.probability import (RiskTable, risk_table_exact,
+                                  risk_table_from_json)
 
 from corpus import corpus, digraph_to_json, risk_of_edge
 
 
 def dense_risk(inst, weights, edge_id):
+    """A NaN, from a zero risk times an overflowed product, is skipped,
+    as the engine's comparisons skip it; the head's own product is
+    finite, so one value is left."""
     edge = inst.graph.edge_by_id[edge_id]
     simple = underlying_simple(inst.graph)
     products = min_product_weights(simple, weights, edge.tail)
-    return min(inst.risks.entries.get((edge_id, z), 1.0) * products[z]
-               for z in reachable(simple, edge.head))
+    values = (inst.risks.entries.get((edge_id, z), 1.0) * products[z]
+              for z in reachable(simple, edge.head))
+    return min(v for v in values if not math.isnan(v))
 
 
 def dense_operator(inst, weights):
@@ -165,6 +175,119 @@ def test_capped_iterations_raise_alike():
     with pytest.raises(engine.IndeterminateError) as dense:
         dense_solution(inst, iter_cap=3)
     assert compiled.value.iterations == dense.value.iterations == 3
+
+
+# ------------------------------------------------------ the walk step
+
+RISKS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-13, 1.0 + 1e-12]),
+                  st.floats(0.0, 1.0))
+WEIGHTS = st.one_of(st.sampled_from([1.0, 2.0]), st.floats(1.0, 4.0))
+# two of these along a walk overflow to inf, which r = 0 turns into NaN
+HUGE = st.sampled_from([1e200, 1.7e308])
+
+
+@st.composite
+def walk_instances(draw):
+    """A digraph whose vertices have out-degree <= 1 (sinks, self-loops
+    and walks that return to their tail), one to four parallel edges per
+    arc, each with zero or more stored pairs, and weights >= 1."""
+    n = draw(st.integers(1, 6))
+    vertices = [f"v{k}" for k in range(n)]
+    edges = []
+    for k, succ in enumerate(draw(st.lists(
+            st.one_of(st.none(), st.integers(0, n - 1)),
+            min_size=n, max_size=n))):
+        if succ is not None:
+            edges += [(f"e{k}.{j}", vertices[k], vertices[succ])
+                      for j in range(draw(st.integers(1, 4)))]
+    graph = MultiDigraph.build(vertices, edges)
+    reach = head_reach(graph)
+    entries = {}
+    for eid, _, head in edges:
+        for z in draw(st.lists(st.sampled_from(sorted(reach[head])),
+                               unique=True)):
+            entries[(eid, z)] = draw(RISKS)
+    inst = CutInstance.build(graph, RiskTable(entries))
+    scale = draw(st.sampled_from([WEIGHTS, HUGE]))
+    weights = {arc: draw(scale) for arc in sorted(inst.simple.arcs)}
+    return inst, weights
+
+
+def hexed(value):
+    """Floats as hex strings, keys in their order, so a dict must match in
+    order too; a cap reached reads as its iteration count."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return [(k, hexed(v)) for k, v in value.items()]
+    if isinstance(value, tuple):
+        return [hexed(v) for v in value]
+    return value
+
+
+def solved(solve, inst):
+    try:
+        return hexed(tuple(solve(inst, iter_cap=30)))
+    except IndeterminateError as exc:
+        return ("indeterminate", exc.iterations)
+
+
+def assert_walk_step_matches_dense(case):
+    inst, weights = case
+    assert inst.walk_step is not None
+    stepped = hexed(apply_risk_operator(inst, weights))
+    assert stepped == hexed(dense_operator(inst, weights))
+    assert stepped == hexed(engine._risk_update(inst, weights))
+    assert solved(least_weight_solution, inst) == solved(dense_solution, inst)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(walk_instances())
+def test_walk_step_matches_dense_operator(case):
+    assert_walk_step_matches_dense(case)
+
+
+MUTANTS = {
+    "floor at the walk's last position":
+        ("_floor_at", lambda walk, reach_head: len(walk) - 1),
+    "cyclic floor as the head's product":
+        ("_floor_at", lambda walk, reach_head: min(1, len(walk) - 1)),
+    "risks summed by math.fsum":
+        ("reduce", lambda op, risks, start: math.fsum(risks)),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_walk_step_mutants_fail_the_comparison(monkeypatch, mutant):
+    name, replacement = MUTANTS[mutant]
+    monkeypatch.setattr(engine, name, replacement)
+    run = settings(derandomize=True, deadline=None, max_examples=300,
+                   phases=[Phase.generate], database=None,
+                   report_multiple_bugs=False)(
+        given(walk_instances())(assert_walk_step_matches_dense))
+    with pytest.raises(AssertionError):
+        run()
+
+
+def test_walk_step_is_kept_for_walks_only():
+    walk = build_nonrep_instance([[0, 1, 2, 3]] * 8, risk_mode="bound")
+    assert walk.walk_step is walk.walk_step is not None
+    fork = MultiDigraph.build(["x", "y", "z"],
+                              [("a", "x", "y"), ("b", "x", "z")])
+    assert CutInstance.build(fork, RiskTable({})).walk_step is None
+
+
+def test_zero_risk_skips_an_overflowed_product():
+    # x -> y -> z -> w: P(w) from x overflows to inf, and 0 * inf is NaN,
+    # which the min skips, so e's risk is the floor P(y) = 1e200
+    g = MultiDigraph.build(["x", "y", "z", "w"],
+                           [("e", "x", "y"), ("f", "y", "z"),
+                            ("g", "z", "w")])
+    inst = CutInstance.build(g, RiskTable({("e", "w"): 0.0}))
+    weights = dict.fromkeys(inst.simple.arcs, 1e200)
+    out = apply_risk_operator(inst, weights)
+    assert out[("x", "y")] == 1.0 + 1e200
+    assert hexed(out) == hexed(dense_operator(inst, weights))
 
 
 # ------------------------------------------------------------ hoisting

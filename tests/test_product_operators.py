@@ -1,19 +1,22 @@
 """The product-form operators and the Kleene step scan against references.
 
 The τ operator, the μ operator, the lopsided check and `kleene`'s step
-scan run their inner loops through `map` and `math.prod`.  The
-references below are the plain per-factor forms: a generator per
+scan run their inner loops through `map` and `math.prod`; the τ and μ
+solvers step operators compiled into index columns (`core.row_folds`).
+The references below are the plain per-factor forms: a generator per
 product, a Python-level sum left to right, and a per-entry max/min fold
 of the steps.  Results must agree exactly, float for float, NaN and
 signed zeros included.
 """
 
 import math
+from operator import add, mul
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localcut import families
+from localcut.core import row_folds
 from localcut.engine import (ITER_CAP, TOL, VALUE_CAP, FixedPointResult,
                              IndeterminateError, kleene)
 from localcut.families import (apply_tau_operator, least_tau_solution,
@@ -68,6 +71,12 @@ def fsum_tau_operator(ground, terms, tau):
     return {elem: 1.0 + math.fsum(p * ref_tau_of_set(tau, witness)
                                   for p, witness in terms.get(elem, ()))
             for elem in ground}
+
+
+def fsum_tau_step(ground, terms):
+    """A mutant of the solver's compiled step: the terms summed with
+    compensation."""
+    return lambda tau: fsum_tau_operator(ground, terms, tau)
 
 
 def ref_least_tau(ground, terms):
@@ -191,6 +200,10 @@ def test_tau_operator_and_products_match_reference(instance):
     ground, terms, tau = instance
     assert exact(apply_tau_operator(ground, terms, tau)) == \
         exact(ref_tau_operator(ground, terms, tau))
+    step = families._tau_step(ground, terms)
+    for weights in (tau, dict.fromkeys(ground, 0.0)):
+        assert exact(step(weights)) == \
+            exact(ref_tau_operator(ground, terms, weights))
     for rows in terms.values():
         for _, witness in rows:
             assert tau_of_set(tau, witness).hex() == \
@@ -261,13 +274,47 @@ def test_reference_catches_a_compensated_sum():
 
 
 def test_fsum_mutant_fails_the_solve_comparison(monkeypatch):
-    """An operator summing with math.fsum ends one ulp off the least
+    """A solver step summing with math.fsum ends one ulp off the least
     solution, so the solve comparison above would fail on it."""
     ground = ("a",)
     terms = {"a": [(0.095, ("a",)), (0.223, ("a",)), (0.131, ("a",))]}
     expected = outcome(ref_least_tau, ground, terms)
     assert outcome(least_tau_solution, ground, terms, iter_cap=CAP) == \
         expected
-    monkeypatch.setattr(families, "apply_tau_operator", fsum_tau_operator)
+    monkeypatch.setattr(families, "_tau_step", fsum_tau_step)
     assert outcome(least_tau_solution, ground, terms, iter_cap=CAP) != \
         expected
+
+
+def test_auto_mu_matches_reference_when_a_keep_product_underflows():
+    """1199 neighbours at mu = 0.5 multiply their 1 - mu to 0.0, which
+    the step reads as an infinite level, as the plain operator does."""
+    n = 1200
+    gamma = {1: frozenset(range(2, n + 1))}
+    gamma.update({j: frozenset({1}) for j in range(2, n + 1)})
+    probs = {1: 0.125, **{j: 0.5 for j in range(2, n + 1)}}
+    res = outcome(auto_mu, probs, gamma, iter_cap=CAP)
+    assert res == outcome(ref_auto_mu, probs, gamma)
+    assert res[0] == "diverged" and res[3] == math.inf.hex()
+
+
+FOLD_VALUES = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(FOLD_VALUES, min_size=1, max_size=8), st.data(),
+       st.sampled_from([(add, 0.0), (mul, 1.0), (min, math.inf),
+                        (add, None), (mul, None), (min, None)]))
+def test_row_folds_match_a_python_loop(values, data, fold):
+    op, start = fold
+    positions = st.integers(0, len(values) - 1)
+    rows = data.draw(st.lists(st.lists(positions, min_size=start is None,
+                                       max_size=5), max_size=8))
+    expected = []
+    for row in rows:
+        acc, rest = (start, row) if start is not None else \
+            (values[row[0]], row[1:])
+        for k in rest:
+            acc = op(acc, values[k])
+        expected.append(acc)
+    assert exact(list(row_folds(rows, op, start)(values))) == exact(expected)

@@ -20,6 +20,13 @@ from localcut.thresholds import (DegreeProfile, SeriesCondition,
 SQRT5 = math.sqrt(5.0)
 
 
+def gamma(profile, z):
+    """A degree profile's charge: every edge count times g_weight of its
+    surviving size."""
+    return (sum(count * g_weight(t, z) for t, count in profile.a.items())
+            + sum(count * g_weight(t, z) for t, count in profile.b.items()))
+
+
 # ------------------------------------------------------- scalar solver
 
 def test_scalar_zero_series():
@@ -236,7 +243,7 @@ def test_g_weight_values_and_guards():
 
 def test_degree_profile_validation_and_gamma():
     prof = DegreeProfile.build({1: 2, 3: 1}, {3: 2})
-    assert prof.gamma(2.0) == pytest.approx(
+    assert gamma(prof, 2.0) == pytest.approx(
         2 * 0.5 + 1 * g_weight(3, 2.0) + 2 * g_weight(3, 2.0), abs=1e-15)
     with pytest.raises(ValueError):
         DegreeProfile.build({0: 1}, {})
@@ -284,7 +291,7 @@ def test_peel_stops_below_threshold():
     for v in res.remaining:
         prof = res.profiles[v]
         assert dict(prof.b) == {3: 1} and not prof.a
-        assert prof.gamma(2.0) < 2.0
+        assert gamma(prof, 2.0) < 2.0
 
 
 def test_peel_partial_stop_leaves_partial_profiles():
@@ -297,8 +304,8 @@ def test_peel_partial_stop_leaves_partial_profiles():
     assert res.remaining == ("q",)
     prof = res.profiles["q"]
     assert dict(prof.a) == {1: 1} and not prof.b
-    assert prof.gamma(2.0) == pytest.approx(0.5, abs=1e-15)
-    assert prof.gamma(2.0) < 0.6
+    assert gamma(prof, 2.0) == pytest.approx(0.5, abs=1e-15)
+    assert gamma(prof, 2.0) < 0.6
 
 
 def test_peel_tie_breaks_on_input_position():
