@@ -25,10 +25,9 @@ _EXPORTS = {
     "engine": """CutInstance apply_risk_operator build_nonrep_instance
         check_weight_condition least_weight_solution probability_bounds
         telescoping_check""",
-    "families": """FamilyInstance apply_tau_operator boundary
-        check_family_condition check_tau_condition hypercube_digraph
-        hypergraph_coloring_family least_tau_solution
-        validate_family_instance""",
+    "families": """FamilyInstance apply_tau_operator check_family_condition
+        check_tau_condition hypercube_digraph hypergraph_coloring_family
+        least_tau_solution validate_family_instance""",
     "lll": """LllError LllInstance auto_mu check_lopsided instance_from_json
         mu_to_tau""",
     "instances": """Graph Hypergraph InstanceError ListAssignment

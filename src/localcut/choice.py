@@ -14,7 +14,7 @@ from collections import Counter
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .core import CHOICE_CAP, TOL
+from .core import CHOICE_CAP, STRING_ROWS, TOL, json_list, json_numbers
 from .rng import Generator, pairwise_sum
 
 
@@ -221,18 +221,15 @@ def randomized_choice_search(inst: ChoiceInstance, weights: MarginalWeights,
 # ----------------------------------------------------------------- JSON
 
 def choice_from_json(obj: Mapping) -> ChoiceInstance:
+    """Universes and forbidden sets must be JSON lists of strings: str()
+    in ChoiceInstance.build would read 2 as "2"."""
     try:
-        universes = obj["universes"]
-        forbidden = obj.get("forbidden", [])
-        groups = [*universes, *forbidden]
+        universes = json_list(obj["universes"], STRING_ROWS, ChoiceError,
+                              "universes")
+        forbidden = json_list(obj.get("forbidden", []), STRING_ROWS,
+                              ChoiceError, "forbidden")
     except (TypeError, KeyError) as exc:
         raise ChoiceError(f"malformed choice instance: {exc}") from exc
-    # str() in ChoiceInstance.build would read 2 as "2", and a string
-    # group as the set of its letters
-    if not all(isinstance(g, list) and all(isinstance(x, str) for x in g)
-               for g in groups):
-        raise ChoiceError("universes and forbidden sets must be lists of "
-                          "strings")
     return ChoiceInstance.build(universes, forbidden)
 
 
@@ -240,7 +237,5 @@ def marginals_from_json(inst: ChoiceInstance,
                         obj: Mapping[str, float]) -> MarginalWeights:
     if not isinstance(obj, Mapping):
         raise ChoiceError("weights must be an element-to-number map")
-    if not all(type(v) in (int, float) for v in obj.values()):  # not bools
-        raise ChoiceError("each weight must be a JSON number")
-    return MarginalWeights.build(inst, {str(k): float(v)
-                                        for k, v in obj.items()})
+    weights = json_numbers(list(obj.values()), ChoiceError, "the weights")
+    return MarginalWeights.build(inst, dict(zip(obj, weights)))

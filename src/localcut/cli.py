@@ -31,8 +31,9 @@ from typing import Mapping, Sequence
 
 # Only the shared core loads with the command line; each handler imports
 # what it runs, so a call loads only its own modules.
-from .core import (CHOICE_CAP, ENUM_CAP, ITER_CAP, SAMPLE_CAP, TOL,
-                   EnumerationCapError, IndeterminateError, UsageError)
+from .core import (CHOICE_CAP, ENUM_CAP, ITER_CAP, LIST, SAMPLE_CAP, STRING,
+                   STRING_ROWS, TOL, EnumerationCapError, IndeterminateError,
+                   UsageError, json_list, json_numbers, json_value)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -183,15 +184,21 @@ def _parse_weights(table, known: Mapping[str, object], what: str,
     keyed by known[name]; `what` and `noun` word the errors."""
     if not isinstance(table, Mapping):
         raise UsageError(f"need an object with one {what} per {noun}")
-    weights = {}
-    for name, value in table.items():
-        if name not in known:
-            raise UsageError(f"{what} for unknown {noun} {name!r}")
-        weights[known[name]] = float(value)
+    values = json_numbers(list(table.values()), UsageError, f"{what} values")
+    unknown = [name for name in table if name not in known]
+    if unknown:
+        raise UsageError(f"{what} for unknown {noun} {unknown[0]!r}")
     missing = sorted(set(known) - set(table))
     if missing:
         raise UsageError(f"no {what} for {noun} {missing[0]!r}")
-    return weights
+    return dict(zip(map(known.__getitem__, table), values))
+
+
+def _diverged(subcommand: str, res, **extra) -> tuple[int, dict, list]:
+    """The outcome of a solve that diverged: a valid negative verdict."""
+    return EXIT_NEGATIVE, {"subcommand": subcommand, "mode": "solve",
+                           "feasible": False, "status": "diverged",
+                           "iterations": res.iterations, **extra}, []
 
 
 # ----------------------------------------------------------- subcommands
@@ -218,11 +225,7 @@ def _run_check_lcl(args):
     else:
         res = engine.least_weight_solution(inst, tol, args.cap)
         if res.status == "diverged":
-            report = {"subcommand": "check-lcl", "mode": "solve",
-                      "feasible": False, "status": "diverged",
-                      "iterations": res.iterations,
-                      "max_entry": res.max_entry}
-            return EXIT_NEGATIVE, report, []
+            return _diverged("check-lcl", res, max_entry=res.max_entry)
         weights, mode, iterations = res.weights, "solve", res.iterations
         failed = EXIT_INDETERMINATE
     rep = engine.check_weight_condition(inst, weights, tol)
@@ -239,23 +242,24 @@ def _run_check_lcl(args):
 def _family_terms(data) -> tuple[tuple[str, ...], dict]:
     if not isinstance(data, Mapping) or "ground" not in data:
         raise UsageError('instance needs a "ground" entry')
-    ground = tuple(sorted(str(i) for i in data["ground"]))
+    ground = tuple(sorted(json_list(data["ground"], STRING, UsageError,
+                                    "ground")))
     members = frozenset(ground)
     if len(members) != len(ground) or not ground:
         raise UsageError("ground set must be nonempty without duplicates")
+    events = json_value(data.get("events", []), LIST, UsageError, "events")
+    try:
+        elements, probs, witnesses = ([entry[key] for entry in events]
+                                      for key in ("element", "p", "witness"))
+    except (TypeError, KeyError) as exc:
+        raise UsageError(f"malformed event: {exc}") from exc
+    json_list(elements, STRING, UsageError, "event elements")
+    probs = json_numbers(probs, UsageError, 'event "p" values')
+    json_list(witnesses, STRING_ROWS, UsageError, "witnesses")
     terms: dict[str, list] = {i: [] for i in ground}
-    for idx, entry in enumerate(data.get("events", [])):
-        try:
-            element = str(entry["element"])
-            p, witness = entry["p"], entry["witness"]
-        except (TypeError, KeyError) as exc:
-            raise UsageError(f"malformed event {idx}: {exc}") from exc
-        if type(p) not in (int, float):     # a JSON number, not a bool
-            raise UsageError(f"event {idx}: p must be a number, got {p!r}")
-        if type(witness) is not list or not set(map(type, witness)) <= {str}:
-            raise UsageError(f"event {idx}: witness must be a list of "
-                             "strings")
-        p, witness = float(p), tuple(sorted(set(witness)))
+    for idx, (element, p, witness) in enumerate(zip(elements, probs,
+                                                    witnesses)):
+        witness = tuple(sorted(set(witness)))
         if element not in terms:
             raise UsageError(f"event {idx} names unknown element "
                              f"{element!r}")
@@ -282,10 +286,7 @@ def _run_check_family(args):
     else:
         res = families.least_tau_solution(ground, terms, tol, args.cap)
         if res.status == "diverged":
-            report = {"subcommand": "check-family", "mode": "solve",
-                      "feasible": False, "status": "diverged",
-                      "iterations": res.iterations}
-            return EXIT_NEGATIVE, report, []
+            return _diverged("check-family", res)
         tau, mode, iterations = res.weights, "solve", res.iterations
         failed = EXIT_INDETERMINATE
     rep = families.check_tau_condition(ground, terms, tau, tol)
@@ -448,6 +449,29 @@ def _run_choice(args):
     return EXIT_OK, report, rows
 
 
+def _hypergraph(args, name: str):
+    """The --instance hypergraph, else the seeded random one."""
+    from . import instances
+
+    if args.instance:
+        return instances.hypergraph_from_json(_load_json(args.instance))
+    if None in (args.n, args.k, args.d):
+        raise UsageError(f"{name} needs --instance or --n --k --d")
+    return instances.random_regular_uniform_hypergraph(
+        args.n, args.k, args.d, args.seed)
+
+
+def _symbol_lists(args, name: str):
+    """The --instance symbol lists, else --n uniform lists."""
+    from . import instances
+
+    if args.instance:
+        return instances.lists_from_json(_load_json(args.instance))
+    if None in (args.n, args.uniform):
+        raise UsageError(f"{name} needs --instance or --n --uniform")
+    return instances.ListAssignment.uniform(args.n, args.uniform)
+
+
 def _sample_once(draw, payload: tuple, cap: int, seed: int) -> dict:
     _, rep = draw(*payload, seed, cap)
     return {"seed": seed, "success": rep.success, "resamples": rep.steps}
@@ -457,10 +481,7 @@ def _run_sample(args):
     # samplers load before the pool forks, so its workers inherit them
     # instead of importing them again
     from . import samplers
-    from .instances import (ListAssignment, graph_from_json,
-                            hypergraph_from_json, lists_from_json,
-                            random_graph_max_degree,
-                            random_regular_uniform_hypergraph)
+    from .instances import graph_from_json, random_graph_max_degree
 
     kind = args.kind
     draw = {"2col": samplers.moser_tardos_two_coloring,
@@ -473,21 +494,9 @@ def _run_sample(args):
     if args.edges is not None and args.edges < 1:
         raise UsageError(f"--edges must be at least 1, got {args.edges}")
     if kind == "2col":
-        if args.instance:
-            payload = (hypergraph_from_json(_load_json(args.instance)),)
-        else:
-            if args.n is None or args.k is None or args.d is None:
-                raise UsageError("2col needs --instance or --n --k --d")
-            payload = (random_regular_uniform_hypergraph(
-                args.n, args.k, args.d, seed),)
+        payload = (_hypergraph(args, kind),)
     elif kind == "nonrep-seq":
-        if args.instance:
-            payload = (lists_from_json(_load_json(args.instance)),)
-        else:
-            if args.n is None or args.uniform is None:
-                raise UsageError("nonrep-seq needs --instance or "
-                                 "--n --uniform")
-            payload = (ListAssignment.uniform(args.n, args.uniform),)
+        payload = (_symbol_lists(args, kind),)
     else:
         if args.instance:
             graph = graph_from_json(_load_json(args.instance))
@@ -538,18 +547,9 @@ def _run_sample(args):
 
 
 def _run_validate_model(args):
-    from .instances import (ListAssignment, hypergraph_from_json,
-                            lists_from_json,
-                            random_regular_uniform_hypergraph)
-
     cap = args.cap
     if args.builder == "nonrep":
-        if args.instance:
-            lists = lists_from_json(_load_json(args.instance))
-        else:
-            if args.n is None or args.uniform is None:
-                raise UsageError("nonrep needs --instance or --n --uniform")
-            lists = ListAssignment.uniform(args.n, args.uniform)
+        lists = _symbol_lists(args, "nonrep")
         from . import engine
         from .probability import validate_cut_model
 
@@ -567,13 +567,7 @@ def _run_validate_model(args):
         rows = [{"builder": "nonrep", "ok": checked.ok,
                  "reason": checked.reason}]
         return (EXIT_OK if checked.ok else EXIT_NEGATIVE), report, rows
-    if args.instance:
-        hypergraph = hypergraph_from_json(_load_json(args.instance))
-    else:
-        if args.n is None or args.k is None or args.d is None:
-            raise UsageError("hypcol2 needs --instance or --n --k --d")
-        hypergraph = random_regular_uniform_hypergraph(
-            args.n, args.k, args.d, args.seed)
+    hypergraph = _hypergraph(args, "hypcol2")
     from . import families
 
     colors = 2 if args.colors is None else args.colors
@@ -620,14 +614,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     "cut-based probabilistic feasibility conditions.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, instance=True, **settings):
-        """--format, --out and the named settings, which are the ones the
-        subcommand's handler reads, each with its default."""
+    def common(p, instance="instance", ints="", **settings):
+        """The instance file (an argument, an option or none), --format,
+        --out and the named settings, which are the ones the subcommand's
+        handler reads, each with its default, and the integer flags
+        `ints` names, each None when not given."""
         if instance:
-            p.add_argument("instance", help="instance JSON file")
+            p.add_argument(instance, default=None, help="instance JSON file")
         settings = {"format": "json", "out": "", **settings}
-        for name in settings:
-            p.add_argument(f"--{name}", type=_SETTINGS[name][0], default=None)
+        flags = [(name, _SETTINGS[name][0]) for name in settings]
+        for name, cast in flags + [(name, int) for name in ints.split()]:
+            p.add_argument(f"--{name}", type=cast, default=None)
         p.set_defaults(settings=settings)
 
     p = sub.add_parser("check-lcl", help="check or solve arc weights")
@@ -651,10 +648,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("application",
                    choices=("hypcol", "sequence", "chromatic", "acyclic",
                             "critical"))
-    common(p, instance=False, tol=TOL)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--delta", type=int, default=None)
+    common(p, instance=None, ints="k d delta", tol=TOL)
     p.add_argument("--L", dest="list_size", type=float, default=None)
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--z", type=float, default=None)
@@ -670,28 +664,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="randomized constructions")
     p.add_argument("kind", choices=("2col", "nonrep-seq", "acyclic"))
-    common(p, instance=False, seed=0, cap=SAMPLE_CAP, jobs=1)
-    p.add_argument("--instance", default=None, help="instance JSON file")
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--delta", type=int, default=None)
-    p.add_argument("--edges", type=int, default=None)
-    p.add_argument("--uniform", type=int, default=None,
-                   help="uniform list size for nonrep-seq")
+    common(p, instance="--instance", ints="runs n k d delta edges uniform",
+           seed=0, cap=SAMPLE_CAP, jobs=1)
     p.set_defaults(handler=_run_sample)
 
     p = sub.add_parser("validate-model",
                        help="exhaustively validate a built model")
     p.add_argument("builder", choices=("nonrep", "hypcol2"))
-    common(p, instance=False, seed=0, cap=ENUM_CAP)
-    p.add_argument("--instance", default=None, help="instance JSON file")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--uniform", type=int, default=None)
-    p.add_argument("--colors", type=int, default=None)
+    common(p, instance="--instance", ints="n k d uniform colors", seed=0,
+           cap=ENUM_CAP)
     p.add_argument("--risk-mode", choices=("exact", "bound"),
                    default="exact")
     p.set_defaults(handler=_run_validate_model)

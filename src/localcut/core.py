@@ -1,7 +1,8 @@
 """What every solve and check shares: the tolerance and cap constants, the
 monotone (Kleene) iteration, the row folds that solvers compile their
-steps into, the margin rule and the errors that end a run.  It imports
-nothing from localcut, so loading it loads no cut engine.
+steps into, the margin rule, the typed readers of JSON input values and
+the errors that end a run.  It imports nothing from localcut, so loading
+it loads no cut engine.
 """
 
 from __future__ import annotations
@@ -124,6 +125,45 @@ def row_folds(rows: Sequence[Sequence[int]], op: Callable,
         return out if back is None else back(out)
 
     return step
+
+
+# What a JSON input value may be: the types json.load reads it as (a bool
+# is not an int here), the rule in words, and for rows, what each row holds.
+NUMBER, INTEGER = ({int, float}, "a number"), ({int}, "an integer")
+STRING, LIST = ({str}, "a string"), ({list}, "a list")
+STRING_ROWS, INTEGER_ROWS = (*LIST, STRING), (*LIST, INTEGER)
+
+
+def json_value(value, kind: tuple, error: type[Exception], what: str):
+    """`value`, if json.load read it as `kind`; else raise `error`, the
+    caller's own error class, naming `what` and the value."""
+    if type(value) not in kind[0]:
+        raise error(f"{what} must be {kind[1]}, got {value!r}")
+    return value
+
+
+def json_list(values, kind: tuple, error: type[Exception],
+              what: str) -> list:
+    """`values`, if it is a JSON list of `kind` values, their types tested
+    for the whole list at once, in C; else raise `error` naming the first
+    bad one.  A string row would read as the set of its letters, so rows
+    must be JSON lists too."""
+    types, rule, *row = kind
+    if not set(map(type, json_value(values, LIST, error, what))) <= types:
+        bad = next(v for v in values if type(v) not in types)
+        raise error(f"each entry of {what} must be {rule}, got {bad!r}")
+    if row:
+        json_list([*chain(*values)], row[0], error, f"each row of {what}")
+    return values
+
+
+def json_numbers(values, error: type[Exception], what: str) -> list[float]:
+    """A JSON list of numbers, as floats."""
+    try:
+        return list(map(float, json_list(values, NUMBER, error, what)))
+    except OverflowError:
+        raise error(f"{what} holds an integer past the float range") \
+            from None
 
 
 class WeightReport(NamedTuple):

@@ -13,6 +13,8 @@ import math
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
+from .core import LIST, STRING, json_list, json_value
+
 Arc = tuple[str, str]
 
 
@@ -147,14 +149,13 @@ def min_product_weights(simple: SimpleDigraph, weights: Mapping[Arc, float],
 # ---------------------------------------------------------------- JSON I/O
 
 def digraph_from_json(obj: dict) -> MultiDigraph:
-    """Parse {"vertices": [...], "edges": [{"id","tail","head"}, ...]}."""
+    """Parse {"vertices": [...], "edges": [{"id","tail","head"}, ...]};
+    vertices and edge ids must be strings."""
     try:
-        vertices = obj["vertices"]
-        edges = [(e["id"], e["tail"], e["head"]) for e in obj.get("edges", [])]
+        vertices = json_list(obj["vertices"], STRING, DigraphError, "vertices")
+        edges = json_value(obj.get("edges", []), LIST, DigraphError, "edges")
+        edges = [(e["id"], e["tail"], e["head"]) for e in edges]
     except (KeyError, TypeError) as exc:
         raise DigraphError(f"bad digraph object: {exc}") from exc
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
-        raise DigraphError("vertices must be a list of strings")
-    if not all(isinstance(eid, str) for eid, _, _ in edges):
-        raise DigraphError("edge ids must be strings")
+    json_list([eid for eid, _, _ in edges], STRING, DigraphError, "edge ids")
     return MultiDigraph.build(vertices, edges)

@@ -32,9 +32,9 @@ from .digraph import (Arc, MultiDigraph, SimpleDigraph, check_weights,
 from .probability import (CutModel, ModelCheck, ProductSpace, RiskTable,
                           _cut_checker, _ratio_up, vertex_probabilities)
 
-# One parallel edge's risk entries: the (z, r) pairs to scan, and whether
-# the arc's floor min over reach(head) of P(z) caps them.
-EdgeRow = tuple[tuple[tuple[str, float], ...], bool]
+# One parallel edge's risk entries: the (z, r) pairs that the arc's floor,
+# min over reach(head) of P(z), does not already cover.
+EdgeRow = tuple[tuple[str, float], ...]
 
 
 class _CutInstanceFields(NamedTuple):
@@ -73,29 +73,20 @@ class CutInstance(_CutInstanceFields):
     def risk_rows(self) -> dict[Arc, tuple[EdgeRow, ...]]:
         """Per arc, one row per parallel edge in `edges_by_arc` order.
 
-        A row keeps only the edge's stored entries r != 1 and is capped by
-        the floor: a pair read as 1 gives exactly 1 * P(z) = P(z), and a
-        stored r <= 1 gives fl(r * P(z)) <= P(z), so the capped minimum is
-        the dense one, bit for bit.  An edge with a stored entry above 1
-        scans every z reachable from its head uncapped.  Entries in the
-        table's negative slack read as 0.
+        Each stored entry reads as its nearest value in [0, 1], so the
+        table's accepted slack (TOL either side) reads as 0 or 1.  A row
+        keeps only the entries r != 1, and the floor caps it: a pair read
+        as 1 gives exactly 1 * P(z) = P(z), and r <= 1 gives
+        fl(r * P(z)) <= P(z), so the capped minimum is the dense one, bit
+        for bit.
         """
-        entries = {key: max(r, 0.0) for key, r in self.risks.entries.items()}
         stored: dict[str, list[tuple[str, float]]] = {}
-        for (eid, z), r in entries.items():
-            stored.setdefault(eid, []).append((z, r))
-        rows = {}
-        for arc, eids in self.graph.edges_by_arc.items():
-            row = []
-            for eid in eids:
-                pairs = stored.get(eid, ())
-                if all(r <= 1.0 for _, r in pairs):
-                    row.append((tuple(p for p in pairs if p[1] != 1.0), True))
-                else:
-                    row.append((tuple((z, entries.get((eid, z), 1.0))
-                                      for z in self.reach[arc[1]]), False))
-            rows[arc] = tuple(row)
-        return rows
+        for (eid, z), r in self.risks.entries.items():
+            r = min(max(r, 0.0), 1.0)
+            if r != 1.0:
+                stored.setdefault(eid, []).append((z, r))
+        return {arc: tuple(tuple(stored.get(eid, ())) for eid in eids)
+                for arc, eids in self.graph.edges_by_arc.items()}
 
     @cached_property
     def walk_step(self) -> Callable[[Mapping[Arc, float]], dict] | None:
@@ -108,8 +99,8 @@ class CutInstance(_CutInstanceFields):
         order, as the cheapest-first search, so the same floats.  A walk
         is cut after the farthest position that its arc's rows read.
         Each edge's risk folds builtin min, which replaces only by a
-        smaller value, over the row's start and r * P(z) in row order, so
-        a NaN from 0 * inf is skipped as in `_edge_risk`; each arc's risks
+        smaller value, over the floor and r * P(z) in row order, so a NaN
+        from 0 * inf is skipped as in `_edge_risk`; each arc's risks
         are summed left to right from 0.0, in `edges_by_arc` order.
         """
         succ: dict[str, str] = {}
@@ -131,10 +122,8 @@ class CutInstance(_CutInstanceFields):
             floor = _floor_at(walk, self.reach[head])
             places = []
             first = len(candidates)
-            for pairs, capped in self.risk_rows[(tail, head)]:
-                # the row's start: the floor, or inf (times 1.0) uncapped
-                row = [(floor, 1.0) if capped else (0, math.inf)]
-                row += [(at[z], r) for z, r in pairs]
+            for pairs in self.risk_rows[(tail, head)]:
+                row = [(floor, 1.0)] + [(at[z], r) for z, r in pairs]
                 candidates.append(range(len(factors), len(factors) + len(row)))
                 for place, factor in row:
                     places.append(place)
@@ -191,9 +180,8 @@ def _edge_risk(row: EdgeRow, floor: float,
                products: Mapping[str, float]) -> float:
     """min over z reachable from the edge's head of r(e, z) * P(z), where
     P holds the cheapest path products from the edge's tail."""
-    pairs, capped = row
-    risk = floor if capped else math.inf
-    for z, r in pairs:
+    risk = floor
+    for z, r in row:
         scaled = r * products[z]
         if scaled < risk:
             risk = scaled

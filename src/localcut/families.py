@@ -159,23 +159,6 @@ class _Lattice:
                    if (family & ~with_k) << (1 << k) & ~family)
 
 
-def boundary(family: Iterable[Subset], ground: Sequence[str]) -> frozenset[str]:
-    """Elements whose addition can eject a member of a downward-closed
-    family of subsets of the ground set.
-
-    Raises ValueError if the family is empty, not downward-closed or has
-    a member outside the ground set.  The family is held as a bitset over
-    all 2^len(ground) subsets, so a ground set whose subsets exceed
-    ENUM_CAP (more than 22 elements) raises EnumerationCapError, however
-    small the family.
-    """
-    lattice = _Lattice(ground)
-    bits = 0
-    for s in family:
-        bits |= 1 << lattice.mask(s)
-    return frozenset(lattice.names(lattice.boundary(bits)))
-
-
 class FamilyValidation(NamedTuple):
     ok: bool
     counterexample: SamplePoint | None

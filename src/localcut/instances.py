@@ -11,6 +11,8 @@ import random
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
+from .core import STRING, STRING_ROWS, json_list
+
 
 class InstanceError(ValueError):
     """Malformed hypergraph, graph, or list data."""
@@ -126,25 +128,25 @@ class ListAssignment(NamedTuple):
 
 # ---------------------------------------------------------------- JSON I/O
 
-def hypergraph_from_json(obj: dict) -> Hypergraph:
+def _read(obj: dict, what: str, key: str, kind: tuple) -> list:
     try:
-        return Hypergraph.build(obj["vertices"], obj["edges"])
+        return json_list(obj[key], kind, InstanceError, key)
     except (KeyError, TypeError) as exc:
-        raise InstanceError(f"bad hypergraph object: {exc}") from exc
+        raise InstanceError(f"bad {what} object: {exc}") from exc
+
+
+def hypergraph_from_json(obj: dict) -> Hypergraph:
+    return Hypergraph.build(_read(obj, "hypergraph", "vertices", STRING),
+                            _read(obj, "hypergraph", "edges", STRING_ROWS))
 
 
 def graph_from_json(obj: dict) -> Graph:
-    try:
-        return Graph.build(obj["vertices"], obj["edges"])
-    except (KeyError, TypeError) as exc:
-        raise InstanceError(f"bad graph object: {exc}") from exc
+    return Graph.build(_read(obj, "graph", "vertices", STRING),
+                       _read(obj, "graph", "edges", STRING_ROWS))
 
 
 def lists_from_json(obj: dict) -> ListAssignment:
-    try:
-        return ListAssignment.build(obj["lists"])
-    except (KeyError, TypeError) as exc:
-        raise InstanceError(f"bad list object: {exc}") from exc
+    return ListAssignment.build(_read(obj, "list", "lists", STRING_ROWS))
 
 
 # --------------------------------------------------------------- generators

@@ -16,7 +16,9 @@ from itertools import repeat
 from operator import gt, mul, sub, truediv
 from typing import Iterable, Mapping, NamedTuple
 
-from .core import ITER_CAP, TOL, FixedPointResult, kleene, pick, row_folds
+from .core import (INTEGER, INTEGER_ROWS, ITER_CAP, TOL, FixedPointResult,
+                   json_list, json_numbers, json_value, kleene, pick,
+                   row_folds)
 
 
 class LllError(ValueError):
@@ -55,30 +57,22 @@ class LllInstance(NamedTuple):
                            {i: float(mu[i]) for i in idx})
 
 
-def _integers(values: list, name: str) -> list:
-    """`values`, unless one is not a JSON integer (a float or a bool)."""
-    if not set(map(type, values)) <= {int}:
-        bad = next(v for v in values if type(v) is not int)
-        raise LllError(f"{name} must be an integer, got {bad!r}")
-    return values
-
-
 def instance_from_json(obj: dict, levels: bool = True) -> LllInstance:
     """Parse {"n", "gamma": [[...]...], "p": [...], "mu": [...]} with
     1-based neighbor indices.  With `levels` false, "mu" is not read and
     every level is 0, for callers that search for the levels.  "n" and
-    every neighbor index must be JSON integers, not floats or booleans."""
+    every neighbor index must be JSON integers, "p" and "mu" JSON
+    numbers."""
     try:
-        [n] = _integers([obj["n"]], "n")
-        gamma_rows = obj["gamma"]
-        probs = [float(x) for x in obj["p"]]
-        mu = [float(x) for x in obj["mu"]] if levels else [0.0] * n
-    except (KeyError, TypeError, ValueError) as exc:
+        n = json_value(obj["n"], INTEGER, LllError, "n")
+        gamma_rows = json_list(obj["gamma"], INTEGER_ROWS, LllError, "gamma")
+        probs = json_numbers(obj["p"], LllError, "p")
+        mu = json_numbers(obj["mu"], LllError, "mu") if levels else [0.0] * n
+    except (KeyError, TypeError) as exc:
         raise LllError(f"bad instance object: {exc}") from exc
     if not (len(gamma_rows) == len(probs) == len(mu) == n):
         raise LllError(f"arrays must all have length n={n}")
-    gamma = {i + 1: frozenset(_integers(row, f"gamma[{i + 1}] entry"))
-             for i, row in enumerate(gamma_rows)}
+    gamma = {i + 1: frozenset(row) for i, row in enumerate(gamma_rows)}
     return LllInstance.build(n,
                              gamma,
                              {i + 1: p for i, p in enumerate(probs)},

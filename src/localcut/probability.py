@@ -14,7 +14,8 @@ import itertools
 import math
 from typing import Callable, Iterator, Mapping, NamedTuple
 
-from .core import ENUM_CAP, TOL, EnumerationCapError
+from .core import (ENUM_CAP, LIST, TOL, EnumerationCapError, json_numbers,
+                   json_value)
 from .digraph import MultiDigraph, head_reach, underlying_simple
 
 SamplePoint = dict
@@ -307,18 +308,13 @@ def risk_table_from_json(obj: dict,
     """Parse {"risks": [{"edge","z","p"}, ...]} into a table of the listed
     rows, validated when a graph is given (CutInstance.build validates)."""
     try:
-        rows = obj["risks"]
+        rows = json_value(obj["risks"], LIST, SpaceError, "risks")
+        keys = [(r["edge"], r["z"]) for r in rows]
+        ps = json_numbers([r["p"] for r in rows], SpaceError,
+                          'risk "p" values')
     except (KeyError, TypeError) as exc:
         raise SpaceError(f"bad risk object: {exc}") from exc
-    entries = {}
-    for r in rows:
-        try:
-            key, p = (r["edge"], r["z"]), r["p"]
-        except (KeyError, TypeError) as exc:
-            raise SpaceError(f"bad risk row {r!r}: {exc}") from exc
-        if type(p) not in (int, float):     # a JSON number, not a bool
-            raise SpaceError(f"risk row {r!r}: p must be a number")
-        entries[key] = float(p)
+    entries = dict(zip(keys, ps))
     table = RiskTable(entries)
     if graph is not None:
         table.validate(graph)

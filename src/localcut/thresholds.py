@@ -32,7 +32,6 @@ class SeriesCondition(NamedTuple):
 
     g: Callable[[float], float]
     radius: float
-    description: str = ""
 
 
 class FeasibilityResult(NamedTuple):
@@ -191,8 +190,7 @@ def two_coloring_condition(k: int, d: float, variant: str) -> SeriesCondition:
     def g(t: float) -> float:
         return scale * t ** power
 
-    return SeriesCondition(g, math.inf,
-                           f"2-coloring, k={k}, d={d}, {variant}")
+    return SeriesCondition(g, math.inf)
 
 
 class HypergraphColoringBound(NamedTuple):
@@ -243,8 +241,7 @@ def sequence_condition(list_size: float) -> SeriesCondition:
         x = t / list_size
         return x / (1.0 - x)
 
-    return SeriesCondition(g, float(list_size),
-                           f"repetition-free sequence, lists of {list_size}")
+    return SeriesCondition(g, float(list_size))
 
 
 def nonrepetitive_sequence_feasible(list_size: float,
@@ -265,9 +262,7 @@ def chromatic_condition(delta: float, palette: float) -> SeriesCondition:
         x = delta * delta * t / palette
         return (delta * t / palette) / (1.0 - x) ** 2
 
-    return SeriesCondition(g, palette / (delta * delta),
-                           f"nonrepetitive coloring, delta={delta}, "
-                           f"palette={palette}")
+    return SeriesCondition(g, palette / (delta * delta))
 
 
 class NonrepChromaticBound(NamedTuple):
@@ -313,9 +308,7 @@ def acyclic_condition(delta: int, palette: int) -> SeriesCondition:
         x = r * t
         return x ** 4 / (1.0 - x * x) + 2.0 * x
 
-    return SeriesCondition(g, palette / (delta - 1.0),
-                           f"acyclic edge coloring, delta={delta}, "
-                           f"palette={palette}")
+    return SeriesCondition(g, palette / (delta - 1.0))
 
 
 class AcyclicFeasibility(NamedTuple):

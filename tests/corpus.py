@@ -13,9 +13,10 @@ enumerable product spaces (at most 4096 outcomes):
 All four keep A out-closed and F an A-cut by construction, so every
 instance is a valid exact cut model.
 
-Two helpers serve several test modules: `digraph_to_json` writes a
-digraph in the input format `digraph_from_json` reads, and
-`risk_of_edge` is one edge's effective risk under given weights.
+Three helpers serve several test modules: `digraph_to_json` writes a
+digraph in the input format `digraph_from_json` reads, `risk_of_edge`
+is one edge's effective risk under given weights, and `boundary` reads a
+family's boundary through the bitset lattice the family check uses.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from localcut import engine
 from localcut.digraph import (MultiDigraph, min_product_weights, reachable,
                               underlying_simple)
+from localcut.families import _Lattice
 from localcut.probability import CutModel, ProductSpace
 
 CORPUS_SEED = 20230823
@@ -141,3 +143,20 @@ def risk_of_edge(inst: engine.CutInstance, weights, edge_id: str) -> float:
     row = inst.risk_rows[arc][inst.graph.edges_by_arc[arc].index(edge_id)]
     return engine._edge_risk(row, engine._floor(inst, edge.head, products),
                              products)
+
+
+def boundary(family, ground) -> frozenset[str]:
+    """Elements whose addition can eject a member of a downward-closed
+    family of subsets of the ground set.
+
+    Raises ValueError if the family is empty, not downward-closed or has
+    a member outside the ground set.  The family is held as a bitset over
+    all 2^len(ground) subsets, so a ground set whose subsets exceed
+    ENUM_CAP (more than 22 elements) raises EnumerationCapError, however
+    small the family.
+    """
+    lattice = _Lattice(ground)
+    bits = 0
+    for s in family:
+        bits |= 1 << lattice.mask(s)
+    return frozenset(lattice.names(lattice.boundary(bits)))

@@ -170,6 +170,87 @@ def test_inputs_that_read_as_results_exit_2(subcommand, payload, tmp_path,
     assert "must be" in err
 
 
+HYPERGRAPH = {"vertices": ["a", "b", "c", "d"],
+              "edges": [["a", "b", "c"], ["b", "c", "d"]]}
+
+# per case: the argv, where FILE is the input file and ARC the SINGLE_ARC
+# instance; the input as meant; the input as once misread, a string or a
+# bool read as a number or a string read as the list of its letters; and
+# the exit code of the input as meant
+MISREAD = {
+    "arc-weight-string": (["check-lcl", "ARC", "--weights", "FILE"],
+                          {"weights": {"x->y": 2.5}},
+                          {"weights": {"x->y": "2.5"}}, 0),
+    "arc-weight-bool": (["check-lcl", "ARC", "--weights", "FILE"],
+                        {"weights": {"x->y": 1.0}},
+                        {"weights": {"x->y": True}}, 1),
+    "tau-string": (["check-family", "FILE"],
+                   {**FAMILY, "tau": {"a": 2.0, "b": 1.0}},
+                   {**FAMILY, "tau": {"a": "2.0", "b": 1.0}}, 0),
+    "tau-bool": (["check-family", "FILE"],
+                 {**FAMILY, "tau": {"a": 1.0, "b": 1.0}},
+                 {**FAMILY, "tau": {"a": True, "b": 1.0}}, 1),
+    "lll-p-string": (["check-lll", "FILE"], LLL,
+                     {**LLL, "p": ["0.125", 0.125]}, 0),
+    "lll-p-bool": (["check-lll", "FILE"], {**LLL, "p": [1.0, 0.125]},
+                   {**LLL, "p": [True, 0.125]}, 1),
+    "lll-mu-string": (["check-lll", "FILE"], LLL,
+                      {**LLL, "mu": ["0.25", 0.25]}, 0),
+    "lll-mu-bool": (["check-lll", "FILE"], {**LLL, "mu": [0.0, 0.25]},
+                    {**LLL, "mu": [False, 0.25]}, 1),
+    "ground-string": (["check-family", "FILE"], FAMILY,
+                      {**FAMILY, "ground": "ab"}, 0),
+    "peel-edges-string": (["peel", "FILE", "--k", "3", "--c", "2",
+                           "--z", "2"], HYPERGRAPH,
+                          {**HYPERGRAPH, "edges": ["abc", "bcd"]}, 1),
+    "2col-edges-string": (["sample", "2col", "--instance", "FILE"],
+                          HYPERGRAPH,
+                          {**HYPERGRAPH, "edges": ["abc", "bcd"]}, 0),
+    "acyclic-edges-string": (["sample", "acyclic", "--instance", "FILE"],
+                             {"vertices": ["a", "b", "c"],
+                              "edges": [["a", "b"], ["b", "c"]]},
+                             {"vertices": ["a", "b", "c"],
+                              "edges": ["ab", "bc"]}, 0),
+    "hypcol2-edges-string": (["validate-model", "hypcol2", "--instance",
+                              "FILE"], HYPERGRAPH,
+                             {**HYPERGRAPH, "edges": ["abc", "bcd"]}, 0),
+    "nonrep-seq-lists-string": (["sample", "nonrep-seq", "--instance",
+                                 "FILE"], {"lists": [["a", "b", "c"]] * 3},
+                                {"lists": ["abc"] * 3}, 0),
+    "nonrep-lists-string": (["validate-model", "nonrep", "--instance",
+                             "FILE"], {"lists": [["a", "b", "c"]] * 3},
+                            {"lists": ["abc"] * 3}, 0),
+}
+
+
+@pytest.mark.parametrize("argv, meant, misread, meant_code",
+                         MISREAD.values(), ids=MISREAD)
+def test_misread_inputs_exit_2(argv, meant, misread, meant_code, tmp_path,
+                               capsys):
+    # each misread input once gave the verdict of the input as meant, or
+    # of another one: "2.5" read as 2.5, true as 1.0, "ab" as ["a", "b"]
+    files = {"ARC": write(tmp_path, "arc.json", SINGLE_ARC)}
+
+    def call(payload):
+        files["FILE"] = write(tmp_path, "input.json", payload)
+        return run([files.get(arg, arg) for arg in argv], capsys)
+
+    code, out, err = call(misread)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert "must be" in err
+    code, out, _ = call(meant)
+    assert code == meant_code and json.loads(out)["subcommand"] == argv[0]
+
+
+def test_integer_past_the_float_range_exits_2(tmp_path, capsys):
+    # float() of it raised OverflowError, an internal error (exit 4)
+    path = tmp_path / "lll.json"
+    path.write_text('{"n": 2, "gamma": [[2], [1]], "p": [1' + "0" * 400
+                    + ', 0.125], "mu": [0.25, 0.25]}', encoding="utf-8")
+    code, out, err = run(["check-lll", str(path)], capsys)
+    assert code == 2 and out == "" and "float range" in err
+
+
 def test_unconverged_solve_weights_exit_3(tmp_path, capsys, monkeypatch):
     # solvers that stop while one more application still moves the
     # weights by more than --tol: the check, not the solver, decides
@@ -978,7 +1059,7 @@ PUBLIC_NAMES = set("""
     MarginalWeights MultiDigraph PaletteTooSmallError ProductSpace
     RiskTable SamplerError SamplerReport SeriesCondition
     SimpleDigraph SpaceError WeightReport acyclic_feasible
-    apply_risk_operator apply_tau_operator auto_mu boundary
+    apply_risk_operator apply_tau_operator auto_mu
     build_nonrep_instance check_expectation_condition
     check_family_condition check_lopsided check_tau_condition
     check_weight_condition cond_prob critical_condition_check
@@ -999,7 +1080,7 @@ PUBLIC_NAMES = set("""
 
 
 def test_package_names_resolve_to_their_modules():
-    assert len(PUBLIC_NAMES) == 77
+    assert len(PUBLIC_NAMES) == 76
     assert set(localcut.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         value = getattr(localcut, name)

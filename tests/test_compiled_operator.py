@@ -29,14 +29,15 @@ from corpus import corpus, digraph_to_json, risk_of_edge
 
 
 def dense_risk(inst, weights, edge_id):
-    """A NaN, from a zero risk times an overflowed product, is skipped,
-    as the engine's comparisons skip it; the head's own product is
-    finite, so one value is left."""
+    """Each entry reads clamped into [0, 1], as the engine reads the
+    table's slack.  A NaN, from a zero risk times an overflowed product,
+    is skipped, as the engine's comparisons skip it; the head's own
+    product is finite, so one value is left."""
     edge = inst.graph.edge_by_id[edge_id]
     simple = underlying_simple(inst.graph)
     products = min_product_weights(simple, weights, edge.tail)
-    values = (inst.risks.entries.get((edge_id, z), 1.0) * products[z]
-              for z in reachable(simple, edge.head))
+    values = (min(max(inst.risks.entries.get((edge_id, z), 1.0), 0.0), 1.0)
+              * products[z] for z in reachable(simple, edge.head))
     return min(v for v in values if not math.isnan(v))
 
 
@@ -135,20 +136,16 @@ def hand_made(above_one):
 
 @pytest.mark.parametrize("above_one", [1.0, 1.0 + 1e-13, 1.0 + 1e-12])
 def test_hand_made_tables_match_dense_reference(above_one):
-    inst = hand_made(above_one)
-    assert_matches_dense(inst, np.random.default_rng(7))
-    capped = {eid: row[1] for arc, rows in inst.risk_rows.items()
-              for eid, row in zip(inst.graph.edges_by_arc[arc], rows)}
-    assert capped["a"] and capped["c"] and capped["d"]
-    assert capped["b"] == capped["f"] == (above_one == 1.0)
+    assert_matches_dense(hand_made(above_one), np.random.default_rng(7))
 
 
-def test_entry_above_one_is_not_capped_by_the_floor():
+def test_entry_above_one_reads_as_one_the_floor():
     # from w, the cheapest vertex of reach(y) is w itself (product 1),
-    # where the table lists 1 + 1e-12: capping at the floor would say 1.0
+    # where the table lists 1 + 1e-12: it reads as 1, so the risk is the
+    # floor, 1.0
     inst = hand_made(1.0 + 1e-12)
     twos = dict.fromkeys(inst.simple.arcs, 2.0)
-    assert risk_of_edge(inst, twos, "f") == 1.0 + 1e-12
+    assert risk_of_edge(inst, twos, "f") == 1.0
     assert risk_of_edge(inst, twos, "f") == dense_risk(inst, twos, "f")
 
 

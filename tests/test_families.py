@@ -5,13 +5,15 @@ import pytest
 from localcut.digraph import min_product_weights, underlying_simple
 from localcut.engine import (CutInstance, IndeterminateError,
                              check_weight_condition)
-from localcut.families import (FamilyInstance, boundary,
-                               check_family_condition, hypercube_digraph,
-                               hypergraph_coloring_family, least_tau_solution,
-                               subset_id, tau_of_set, validate_family_instance)
+from localcut.families import (FamilyInstance, check_family_condition,
+                               hypercube_digraph, hypergraph_coloring_family,
+                               least_tau_solution, subset_id, tau_of_set,
+                               validate_family_instance)
 from localcut.instances import Hypergraph
 from localcut.probability import (ProductSpace, exact_prob, risk_table_exact,
                                   validate_cut_model)
+
+from corpus import boundary
 
 
 def triangle_family():

@@ -29,7 +29,7 @@ from localcut.core import ENUM_CAP
 from localcut.digraph import MultiDigraph, head_reach, underlying_simple
 from localcut.engine import build_nonrep_instance
 from localcut.families import (FamilyInstance, _worst_conditional,
-                               all_subsets, boundary, check_family_condition,
+                               all_subsets, check_family_condition,
                                hypergraph_coloring_family, tau_of_set,
                                validate_family_instance)
 from localcut.instances import Hypergraph, random_regular_uniform_hypergraph
@@ -37,7 +37,7 @@ from localcut.probability import (CutModel, EnumerationCapError, ModelCheck,
                                   ProductSpace, risk_table_exact,
                                   validate_cut_model, vertex_probabilities)
 
-from corpus import corpus
+from corpus import boundary, corpus
 
 
 # ------------------------------------------------ two-pass cut reference
@@ -665,9 +665,10 @@ def test_boundary_on_large_ground_sets():
 
 
 NOT_CLOSED_SCRIPT = """
-from localcut.families import (FamilyInstance, boundary,
-                               validate_family_instance)
+from localcut.families import FamilyInstance, validate_family_instance
 from localcut.probability import ProductSpace
+
+from corpus import boundary
 names = ["a", "b", "c", "d", "e"]
 space = ProductSpace.uniform([("k", [0, 1])])
 inst = FamilyInstance.build(names, space, lambda pt, s: len(s) % 2 == 0, {})
@@ -678,11 +679,12 @@ print(boundary([frozenset("ab"), frozenset("cd"), frozenset()], "abcd"))
 
 def test_not_closed_reason_ignores_the_hash_seed():
     src = os.path.dirname(os.path.dirname(os.path.abspath(localcut.__file__)))
+    here = os.path.dirname(os.path.abspath(__file__))   # for corpus
     outs = []
     for seed in (0, 1):
         env = {**os.environ, "PYTHONHASHSEED": str(seed),
                "PYTHONPATH": os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+                   filter(None, [src, here, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-c", NOT_CLOSED_SCRIPT],
                               env=env, capture_output=True, text=True,
                               timeout=120)

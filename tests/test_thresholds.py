@@ -30,30 +30,28 @@ def gamma(profile, z):
 # ------------------------------------------------------- scalar solver
 
 def test_scalar_zero_series():
-    res = scalar_feasible(SeriesCondition(lambda t: 0.0, float("inf"), "zero"))
+    res = scalar_feasible(SeriesCondition(lambda t: 0.0, float("inf")))
     assert res.feasible and res.tau_star == 1.0 and res.margin == 0.0
 
 
 def test_scalar_linear_crossing():
-    res = scalar_feasible(SeriesCondition(lambda t: 0.25 * t, float("inf"),
-                                          "linear"))
+    res = scalar_feasible(SeriesCondition(lambda t: 0.25 * t, float("inf")))
     assert res.feasible
     assert res.tau_star == pytest.approx(4.0 / 3.0, abs=1e-12)
     assert abs(res.margin) <= 1e-12
 
 
 def test_scalar_hopeless_series():
-    res = scalar_feasible(SeriesCondition(lambda t: t * t, float("inf"),
-                                          "square"))
+    res = scalar_feasible(SeriesCondition(lambda t: t * t, float("inf")))
     assert not res.feasible
     assert res.margin == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_scalar_guards():
-    cond = SeriesCondition(lambda t: 0.0, float("inf"), "zero")
+    cond = SeriesCondition(lambda t: 0.0, float("inf"))
     with pytest.raises(ValueError):
         scalar_feasible(cond, grid_points=1)
-    collapsed = SeriesCondition(lambda t: 0.0, 1.0, "no room")
+    collapsed = SeriesCondition(lambda t: 0.0, 1.0)
     res = scalar_feasible(collapsed)
     assert not res.feasible and res.tau_star is None
 
