@@ -16,11 +16,11 @@ import importlib
 
 _EXPORTS = {
     "core": """EnumerationCapError FixedPointResult IndeterminateError
-        WeightReport""",
-    "digraph": """DigraphError Edge MultiDigraph SimpleDigraph
-        digraph_from_json min_product_weights reachable underlying_simple""",
-    "probability": """ProductSpace RiskTable SpaceError CutModel cond_prob
-        exact_prob risk_table_exact risk_table_from_json validate_cut_model
+        UsageError WeightReport""",
+    "digraph": """Edge MultiDigraph SimpleDigraph digraph_from_json
+        min_product_weights reachable underlying_simple""",
+    "probability": """ProductSpace RiskTable CutModel cond_prob exact_prob
+        risk_table_exact risk_table_from_json validate_cut_model
         vertex_probabilities""",
     "engine": """CutInstance apply_risk_operator build_nonrep_instance
         check_weight_condition least_weight_solution probability_bounds
@@ -28,21 +28,19 @@ _EXPORTS = {
     "families": """FamilyInstance apply_tau_operator check_family_condition
         check_tau_condition hypercube_digraph hypergraph_coloring_family
         least_tau_solution validate_family_instance""",
-    "lll": """LllError LllInstance auto_mu check_lopsided instance_from_json
-        mu_to_tau""",
-    "instances": """Graph Hypergraph InstanceError ListAssignment
-        graph_from_json hypergraph_from_json lists_from_json
-        random_graph_max_degree random_regular_uniform_hypergraph""",
+    "lll": "LllInstance auto_mu check_lopsided instance_from_json mu_to_tau",
+    "instances": """Graph Hypergraph ListAssignment graph_from_json
+        hypergraph_from_json lists_from_json random_graph_max_degree
+        random_regular_uniform_hypergraph""",
     "thresholds": """FeasibilityResult SeriesCondition acyclic_feasible
         critical_condition_check critical_min_slack greedy_peel
         hypergraph_two_coloring_max_degree nonrepetitive_chromatic_bound
         nonrepetitive_sequence_feasible scalar_feasible""",
-    "choice": """ChoiceError ChoiceInstance MarginalWeights
-        check_expectation_condition randomized_choice_search""",
-    "samplers": """PaletteTooSmallError SamplerError SamplerReport
-        greedy_acyclic_edge_coloring is_acyclic_edge_coloring is_nonrepetitive
-        moser_tardos_two_coloring nonrep_sequence_build
-        verify_proper_2coloring""",
+    "choice": """ChoiceInstance MarginalWeights check_expectation_condition
+        randomized_choice_search""",
+    "samplers": """SamplerReport greedy_acyclic_edge_coloring
+        is_acyclic_edge_coloring is_nonrepetitive moser_tardos_two_coloring
+        nonrep_sequence_build verify_proper_2coloring""",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names.split()}

@@ -14,12 +14,9 @@ from collections import Counter
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .core import CHOICE_CAP, STRING_ROWS, TOL, json_list, json_numbers
+from .core import (CHOICE_CAP, STRING_ROWS, TOL, UsageError, json_list,
+                   json_numbers)
 from .rng import Generator, pairwise_sum
-
-
-class ChoiceError(ValueError):
-    pass
 
 
 class _ChoiceInstanceFields(NamedTuple):
@@ -33,28 +30,28 @@ class ChoiceInstance(_ChoiceInstanceFields):
               forbidden: Iterable[Iterable[str]]) -> "ChoiceInstance":
         unis = tuple(tuple(str(x) for x in u) for u in universes)
         if not unis:
-            raise ChoiceError("need at least one universe")
+            raise UsageError("need at least one universe")
         owner: dict[str, int] = {}
         for i, u in enumerate(unis):
             if not u:
-                raise ChoiceError(f"universe {i} is empty")
+                raise UsageError(f"universe {i} is empty")
             for x in u:
                 if x in owner:
-                    raise ChoiceError(f"element {x!r} appears twice")
+                    raise UsageError(f"element {x!r} appears twice")
                 owner[x] = i
         cleaned = []
         for j, raw in enumerate(forbidden):
             p = frozenset(str(x) for x in raw)
             if not p:
-                raise ChoiceError(f"forbidden set {j} is empty")
+                raise UsageError(f"forbidden set {j} is empty")
             unknown = sorted(x for x in p if x not in owner)
             if unknown:
-                raise ChoiceError(
+                raise UsageError(
                     f"forbidden set {j} uses unknown element {unknown[0]!r}")
             hits = Counter(owner[x] for x in p)
             doubled = [i for i, n in hits.items() if n > 1]
             if doubled:
-                raise ChoiceError(
+                raise UsageError(
                     f"forbidden set {j} picks {hits[doubled[0]]} elements "
                     f"from universe {doubled[0]}")
             cleaned.append(p)
@@ -84,10 +81,10 @@ def avoids_all(inst: ChoiceInstance, choice: Sequence[str]) -> bool:
     """A full choice avoids a forbidden set when it disagrees with it on
     at least one universe of its domain."""
     if len(choice) != len(inst.universes):
-        raise ChoiceError("choice must pick one element per universe")
+        raise UsageError("choice must pick one element per universe")
     for i, x in enumerate(choice):
         if inst.universe_of.get(x) != i:
-            raise ChoiceError(f"choice entry {x!r} is not in universe {i}")
+            raise UsageError(f"choice entry {x!r} is not in universe {i}")
     picked = frozenset(choice)
     return all(not p <= picked for p in inst.forbidden)
 
@@ -107,16 +104,16 @@ class MarginalWeights(NamedTuple):
         for u in inst.universes:
             for x in u:
                 if x not in p:
-                    raise ChoiceError(f"no weight for element {x!r}")
+                    raise UsageError(f"no weight for element {x!r}")
                 value = float(p[x])
                 if not -TOL <= value <= 1.0 + TOL:
-                    raise ChoiceError(f"weight {value} for {x!r} outside "
-                                      "[0, 1]")
+                    raise UsageError(f"weight {value} for {x!r} outside "
+                                     "[0, 1]")
                 table[x] = min(max(value, 0.0), 1.0)
         extra = sorted(set(p) - set(table))
         if extra:
-            raise ChoiceError(f"weight given for unknown element "
-                              f"{extra[0]!r}")
+            raise UsageError(f"weight given for unknown element "
+                             f"{extra[0]!r}")
         totals = tuple(math.fsum(table[x] for x in u)
                        for u in inst.universes)
         return MarginalWeights(table, totals)
@@ -142,7 +139,7 @@ def check_expectation_condition(inst: ChoiceInstance,
     """
     for i, total in enumerate(weights.tau):
         if total <= 0.0:
-            raise ChoiceError(f"universe {i} has zero total weight")
+            raise UsageError(f"universe {i} has zero total weight")
     q = {x: weights.p[x] / weights.tau[inst.universe_of[x]]
          for u in inst.universes for x in u}
     sum_margins = []
@@ -187,9 +184,9 @@ def randomized_choice_search(inst: ChoiceInstance, weights: MarginalWeights,
     if report is None:
         report = check_expectation_condition(inst, weights)
     if not report.feasible:
-        raise ChoiceError("expectation condition is infeasible")
+        raise UsageError("expectation condition is infeasible")
     if cap < 0:
-        raise ChoiceError("resample cap must be nonnegative")
+        raise UsageError("resample cap must be nonnegative")
     rng = Generator(seed)
     dists = []
     for u in inst.universes:
@@ -224,18 +221,17 @@ def choice_from_json(obj: Mapping) -> ChoiceInstance:
     """Universes and forbidden sets must be JSON lists of strings: str()
     in ChoiceInstance.build would read 2 as "2"."""
     try:
-        universes = json_list(obj["universes"], STRING_ROWS, ChoiceError,
-                              "universes")
+        universes = json_list(obj["universes"], STRING_ROWS, "universes")
         forbidden = json_list(obj.get("forbidden", []), STRING_ROWS,
-                              ChoiceError, "forbidden")
+                              "forbidden")
     except (TypeError, KeyError) as exc:
-        raise ChoiceError(f"malformed choice instance: {exc}") from exc
+        raise UsageError(f"malformed choice instance: {exc}") from exc
     return ChoiceInstance.build(universes, forbidden)
 
 
 def marginals_from_json(inst: ChoiceInstance,
                         obj: Mapping[str, float]) -> MarginalWeights:
     if not isinstance(obj, Mapping):
-        raise ChoiceError("weights must be an element-to-number map")
-    weights = json_numbers(list(obj.values()), ChoiceError, "the weights")
+        raise UsageError("weights must be an element-to-number map")
+    weights = json_numbers(list(obj.values()), "the weights")
     return MarginalWeights.build(inst, dict(zip(obj, weights)))

@@ -6,10 +6,10 @@ kinds of outcome so parameter scans can branch on them:
 
     0  feasible / success (verifier-backed)
     1  infeasible, diverged, or object not found: a valid negative verdict
-    2  usage, IO, or schema error
+    2  bad input, with a message: a UsageError or an unreadable file
     3  indeterminate: an iteration/enumeration cap was hit, or a
        converged solve's weights fail the check
-    4  internal fault: a bug, e.g. a verifier rejected a finished object
+    4  internal fault: any other exception, named on stderr
 
 Reports are byte-stable for identical inputs: JSON with sorted keys and
 floats at 17 significant digits, or CSV with a fixed per-subcommand
@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from functools import partial
 from typing import Mapping, Sequence
 
@@ -169,9 +170,36 @@ def _resolve(args) -> None:
         raise UsageError(f"--out {args.out}: no writable directory {folder}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        raise UsageError(f"duplicate key {max(counts, key=counts.get)!r}")
+    return obj
+
+
 def _load_json(path: str):
+    """The JSON value in the file; content that does not parse, is not
+    UTF-8, nests too deep or repeats a key raises UsageError."""
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle, object_pairs_hook=_unique_keys)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError,
+                UsageError) as exc:
+            raise UsageError(f"{path}: {exc}") from None
+
+
+def _finite(cast: type):
+    """An argparse type: `cast` of the text, refused unless it is finite
+    as a float, so no nan, inf or integer past the float range."""
+    def parse(text: str):
+        value = cast(text)
+        if not abs(value) <= sys.float_info.max:
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        return value
+
+    parse.__name__ = cast.__name__      # argparse names it on a bad text
+    return parse
 
 
 def _arc_name(arc: tuple[str, str]) -> str:
@@ -184,7 +212,7 @@ def _parse_weights(table, known: Mapping[str, object], what: str,
     keyed by known[name]; `what` and `noun` word the errors."""
     if not isinstance(table, Mapping):
         raise UsageError(f"need an object with one {what} per {noun}")
-    values = json_numbers(list(table.values()), UsageError, f"{what} values")
+    values = json_numbers(list(table.values()), f"{what} values")
     unknown = [name for name in table if name not in known]
     if unknown:
         raise UsageError(f"{what} for unknown {noun} {unknown[0]!r}")
@@ -242,20 +270,19 @@ def _run_check_lcl(args):
 def _family_terms(data) -> tuple[tuple[str, ...], dict]:
     if not isinstance(data, Mapping) or "ground" not in data:
         raise UsageError('instance needs a "ground" entry')
-    ground = tuple(sorted(json_list(data["ground"], STRING, UsageError,
-                                    "ground")))
+    ground = tuple(sorted(json_list(data["ground"], STRING, "ground")))
     members = frozenset(ground)
     if len(members) != len(ground) or not ground:
         raise UsageError("ground set must be nonempty without duplicates")
-    events = json_value(data.get("events", []), LIST, UsageError, "events")
+    events = json_value(data.get("events", []), LIST, "events")
     try:
         elements, probs, witnesses = ([entry[key] for entry in events]
                                       for key in ("element", "p", "witness"))
     except (TypeError, KeyError) as exc:
         raise UsageError(f"malformed event: {exc}") from exc
-    json_list(elements, STRING, UsageError, "event elements")
-    probs = json_numbers(probs, UsageError, 'event "p" values')
-    json_list(witnesses, STRING_ROWS, UsageError, "witnesses")
+    json_list(elements, STRING, "event elements")
+    probs = json_numbers(probs, 'event "p" values')
+    json_list(witnesses, STRING_ROWS, "witnesses")
     terms: dict[str, list] = {i: [] for i in ground}
     for idx, (element, p, witness) in enumerate(zip(elements, probs,
                                                     witnesses)):
@@ -337,6 +364,15 @@ def _feasibility_payload(result) -> dict:
 
 
 def _run_threshold(args):
+    """A parameter whose closed form leaves the float range is bad input."""
+    try:
+        return _threshold_report(args)
+    except OverflowError as exc:
+        raise UsageError(f"threshold {args.application}: a parameter takes "
+                         "the closed form past the float range") from exc
+
+
+def _threshold_report(args):
     from . import thresholds
 
     app, tol = args.application, args.tol
@@ -364,14 +400,11 @@ def _run_threshold(args):
             report["at_d"] = {"d": args.d, **_feasibility_payload(result)}
             code = EXIT_OK if result.feasible else EXIT_NEGATIVE
     elif app == "sequence":
-        if args.list_size is None:
+        if args.L is None:
             raise UsageError("sequence needs --L")
-        result = thresholds.nonrepetitive_sequence_feasible(args.list_size,
-                                                            tol)
-        report.update({"list_size": args.list_size,
-                       **_feasibility_payload(result)})
-        rows = [{"list_size": args.list_size,
-                 **_feasibility_payload(result)}]
+        result = thresholds.nonrepetitive_sequence_feasible(args.L, tol)
+        report.update({"list_size": args.L, **_feasibility_payload(result)})
+        rows = [{"list_size": args.L, **_feasibility_payload(result)}]
         code = EXIT_OK if result.feasible else EXIT_NEGATIVE
     elif app == "chromatic":
         if args.delta is None:
@@ -422,14 +455,13 @@ def _run_threshold(args):
 
 
 def _run_choice(args):
-    from .choice import (ChoiceError, check_expectation_condition,
-                         choice_from_json, marginals_from_json,
-                         randomized_choice_search)
+    from .choice import (check_expectation_condition, choice_from_json,
+                         marginals_from_json, randomized_choice_search)
 
     data = _load_json(args.instance)
     inst = choice_from_json(data)
     if "p" not in data:
-        raise ChoiceError('instance needs a "p" weight map')
+        raise UsageError('instance needs a "p" weight map')
     weights = marginals_from_json(inst, data["p"])
     rep = check_expectation_condition(inst, weights, args.tol)
     report = {"subcommand": "choice", "feasible": rep.feasible,
@@ -585,6 +617,8 @@ def _run_peel(args):
     from . import thresholds
     from .instances import hypergraph_from_json
 
+    if None in (args.k, args.c, args.z):
+        raise UsageError("peel needs --k, --c and --z")
     hypergraph = hypergraph_from_json(_load_json(args.instance))
     result = thresholds.greedy_peel(hypergraph, args.k, args.c, args.z)
     floor_total = (args.k - args.c) * result.vertex_count
@@ -614,16 +648,18 @@ def _build_parser() -> argparse.ArgumentParser:
                     "cut-based probabilistic feasibility conditions.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, instance="instance", ints="", **settings):
+    def common(p, instance="instance", ints="", floats="", **settings):
         """The instance file (an argument, an option or none), --format,
         --out and the named settings, which are the ones the subcommand's
-        handler reads, each with its default, and the integer flags
-        `ints` names, each None when not given."""
+        handler reads, each with its default, and the integer and float
+        flags `ints` and `floats` name, each None when not given."""
         if instance:
             p.add_argument(instance, default=None, help="instance JSON file")
         settings = {"format": "json", "out": "", **settings}
         flags = [(name, _SETTINGS[name][0]) for name in settings]
-        for name, cast in flags + [(name, int) for name in ints.split()]:
+        for cast, names in ((int, ints), (float, floats)):
+            flags += [(name, _finite(cast)) for name in names.split()]
+        for name, cast in flags:
             p.add_argument(f"--{name}", type=cast, default=None)
         p.set_defaults(settings=settings)
 
@@ -648,11 +684,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("application",
                    choices=("hypcol", "sequence", "chromatic", "acyclic",
                             "critical"))
-    common(p, instance=None, ints="k d delta", tol=TOL)
-    p.add_argument("--L", dest="list_size", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--z", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
+    common(p, instance=None, ints="k d delta", floats="L c z tau", tol=TOL)
     p.add_argument("--variant",
                    choices=("lll", "exact", "crude", "improved"),
                    default=None)
@@ -678,10 +710,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_run_validate_model)
 
     p = sub.add_parser("peel", help="greedy vertex peeling certificate")
-    common(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--z", type=float, required=True)
+    common(p, ints="k", floats="c z")
     p.set_defaults(handler=_run_peel)
 
     return parser
@@ -699,9 +728,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (IndeterminateError, EnumerationCapError) as exc:
         print(f"indeterminate: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
-    except (ValueError, KeyError, TypeError, OSError) as exc:
-        # every localcut usage error, and json.JSONDecodeError, is a
-        # ValueError
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -20,7 +20,7 @@ CHOICE_CAP = 10 ** 4          # resamples of one choice search
 
 
 class UsageError(ValueError):
-    """A bad command-line argument or setting."""
+    """Bad input: a command-line argument, a setting or an input value."""
 
 
 class IndeterminateError(RuntimeError):
@@ -134,35 +134,34 @@ STRING, LIST = ({str}, "a string"), ({list}, "a list")
 STRING_ROWS, INTEGER_ROWS = (*LIST, STRING), (*LIST, INTEGER)
 
 
-def json_value(value, kind: tuple, error: type[Exception], what: str):
-    """`value`, if json.load read it as `kind`; else raise `error`, the
-    caller's own error class, naming `what` and the value."""
+def json_value(value, kind: tuple, what: str):
+    """`value`, if json.load read it as `kind`; else raise UsageError
+    naming `what` and the value."""
     if type(value) not in kind[0]:
-        raise error(f"{what} must be {kind[1]}, got {value!r}")
+        raise UsageError(f"{what} must be {kind[1]}, got {value!r}")
     return value
 
 
-def json_list(values, kind: tuple, error: type[Exception],
-              what: str) -> list:
+def json_list(values, kind: tuple, what: str) -> list:
     """`values`, if it is a JSON list of `kind` values, their types tested
-    for the whole list at once, in C; else raise `error` naming the first
-    bad one.  A string row would read as the set of its letters, so rows
-    must be JSON lists too."""
+    for the whole list at once, in C; else raise UsageError naming the
+    first bad one.  A string row would read as the set of its letters, so
+    rows must be JSON lists too."""
     types, rule, *row = kind
-    if not set(map(type, json_value(values, LIST, error, what))) <= types:
+    if not set(map(type, json_value(values, LIST, what))) <= types:
         bad = next(v for v in values if type(v) not in types)
-        raise error(f"each entry of {what} must be {rule}, got {bad!r}")
+        raise UsageError(f"each entry of {what} must be {rule}, got {bad!r}")
     if row:
-        json_list([*chain(*values)], row[0], error, f"each row of {what}")
+        json_list([*chain(*values)], row[0], f"each row of {what}")
     return values
 
 
-def json_numbers(values, error: type[Exception], what: str) -> list[float]:
+def json_numbers(values, what: str) -> list[float]:
     """A JSON list of numbers, as floats."""
     try:
-        return list(map(float, json_list(values, NUMBER, error, what)))
+        return list(map(float, json_list(values, NUMBER, what)))
     except OverflowError:
-        raise error(f"{what} holds an integer past the float range") \
+        raise UsageError(f"{what} holds an integer past the float range") \
             from None
 
 

@@ -13,13 +13,9 @@ import math
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
-from .core import LIST, STRING, json_list, json_value
+from .core import LIST, STRING, UsageError, json_list, json_value
 
 Arc = tuple[str, str]
-
-
-class DigraphError(ValueError):
-    """Malformed graph data: unknown endpoints, duplicate ids, bad weights."""
 
 
 class Edge(NamedTuple):
@@ -40,17 +36,17 @@ class MultiDigraph(_MultiDigraphFields):
         """Build from vertex ids and (edge_id, tail, head) triples."""
         vs = frozenset(vertices)
         if not vs:
-            raise DigraphError("vertex set is empty")
+            raise UsageError("vertex set is empty")
         es = []
         seen: set[str] = set()
         for eid, tail, head in edges:
             if eid in seen:
-                raise DigraphError(f"duplicate edge id {eid!r}")
+                raise UsageError(f"duplicate edge id {eid!r}")
             seen.add(eid)
             if tail not in vs:
-                raise DigraphError(f"edge {eid!r}: unknown tail {tail!r}")
+                raise UsageError(f"edge {eid!r}: unknown tail {tail!r}")
             if head not in vs:
-                raise DigraphError(f"edge {eid!r}: unknown head {head!r}")
+                raise UsageError(f"edge {eid!r}: unknown head {head!r}")
             es.append(Edge(eid, tail, head))
         return MultiDigraph(vs, tuple(es))
 
@@ -89,7 +85,7 @@ def underlying_simple(graph: MultiDigraph) -> SimpleDigraph:
 def reachable(simple: SimpleDigraph, start: str) -> frozenset[str]:
     """Vertices reachable from start by directed paths; start included."""
     if start not in simple.vertices:
-        raise DigraphError(f"unknown vertex {start!r}")
+        raise UsageError(f"unknown vertex {start!r}")
     seen = {start}
     stack = [start]
     while stack:
@@ -114,10 +110,10 @@ def check_weights(simple: SimpleDigraph, weights: Mapping[Arc, float]) -> None:
     for arc in simple.arcs:
         w = weights.get(arc)
         if w is None:
-            raise DigraphError(f"no weight for arc {arc}")
+            raise UsageError(f"no weight for arc {arc}")
         if not 1.0 <= w < math.inf:
             problem = "below 1" if w < 1.0 else "not a finite number"
-            raise DigraphError(f"weight {w} on arc {arc} is {problem}")
+            raise UsageError(f"weight {w} on arc {arc} is {problem}")
 
 
 def min_product_weights(simple: SimpleDigraph, weights: Mapping[Arc, float],
@@ -130,7 +126,7 @@ def min_product_weights(simple: SimpleDigraph, weights: Mapping[Arc, float],
     check_weights, for callers that ran it on these weights already.
     """
     if start not in simple.vertices:
-        raise DigraphError(f"unknown vertex {start!r}")
+        raise UsageError(f"unknown vertex {start!r}")
     if check:
         check_weights(simple, weights)
     best: dict[str, float] = {}
@@ -150,12 +146,13 @@ def min_product_weights(simple: SimpleDigraph, weights: Mapping[Arc, float],
 
 def digraph_from_json(obj: dict) -> MultiDigraph:
     """Parse {"vertices": [...], "edges": [{"id","tail","head"}, ...]};
-    vertices and edge ids must be strings."""
+    vertices, edge ids and endpoints must be strings."""
     try:
-        vertices = json_list(obj["vertices"], STRING, DigraphError, "vertices")
-        edges = json_value(obj.get("edges", []), LIST, DigraphError, "edges")
+        vertices = json_list(obj["vertices"], STRING, "vertices")
+        edges = json_value(obj.get("edges", []), LIST, "edges")
         edges = [(e["id"], e["tail"], e["head"]) for e in edges]
     except (KeyError, TypeError) as exc:
-        raise DigraphError(f"bad digraph object: {exc}") from exc
-    json_list([eid for eid, _, _ in edges], STRING, DigraphError, "edge ids")
+        raise UsageError(f"bad digraph object: {exc}") from exc
+    json_list([v for edge in edges for v in edge], STRING,
+              "edge ids, tails and heads")
     return MultiDigraph.build(vertices, edges)

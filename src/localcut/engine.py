@@ -19,13 +19,13 @@ from __future__ import annotations
 import math
 from functools import cached_property, reduce
 from itertools import accumulate, repeat
-from operator import add, itemgetter, mul
+from operator import add, mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 # the shared names stay importable from here, where callers found them
 from .core import (ENUM_CAP, ITER_CAP, TOL, VALUE_CAP,  # noqa: F401
-                   FixedPointResult, IndeterminateError, WeightReport,
-                   check_margins, kleene, pick, row_folds)
+                   FixedPointResult, IndeterminateError, UsageError,
+                   WeightReport, check_margins, kleene, pick, row_folds)
 from .digraph import (Arc, MultiDigraph, SimpleDigraph, check_weights,
                       head_reach, min_product_weights, reachable,
                       underlying_simple)
@@ -348,11 +348,11 @@ def build_nonrep_instance(lists: Sequence[Sequence], *,
     """
     n = len(lists)
     if n == 0:
-        raise ValueError("need at least one position")
+        raise UsageError("need at least one position")
     if any(len(values) == 0 for values in lists):
-        raise ValueError("every position needs a nonempty symbol list")
+        raise UsageError("every position needs a nonempty symbol list")
     if risk_mode not in ("exact", "bound"):
-        raise ValueError(f"unknown risk_mode {risk_mode!r}")
+        raise UsageError(f"unknown risk_mode {risk_mode!r}")
 
     vertices = [f"v{i}" for i in range(1, n + 1)]
     # per copy end e, its block pairs by length as (edge id, start, middle):
@@ -371,8 +371,7 @@ def build_nonrep_instance(lists: Sequence[Sequence], *,
         return [eid for eid, s, m in at_end[e] if seq[s:m] == seq[m:e]]
 
     names = [f"a{i}" for i in range(1, n + 1)]
-    # itemgetter with one key returns the value, not a 1-tuple
-    key = itemgetter(*names) if n > 1 else lambda point: (point[names[0]],)
+    key = pick(names)
     prefixes = [frozenset(vertices[:good]) for good in range(n + 1)]
     # One scan serves a_of and f_of, kept for the last sequence seen: per
     # copy end e, the repeats ending at or before e and the clean prefix

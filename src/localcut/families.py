@@ -23,12 +23,12 @@ from operator import add, mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (ENUM_CAP, ITER_CAP, TOL, EnumerationCapError,
-                   FixedPointResult, WeightReport, check_margins, kleene,
-                   pick, row_folds)
+                   FixedPointResult, UsageError, WeightReport, check_margins,
+                   kleene, pick, row_folds)
 from .digraph import MultiDigraph
 from .instances import Hypergraph
-from .probability import (CutModel, Event, ProductSpace, SamplePoint,
-                          _ratio_up)
+from .probability import (CutModel, Event, ModelCheck, ProductSpace,
+                          SamplePoint, _ratio_up)
 
 HYPERCUBE_MAX_GROUND = 4
 OUTSIDE_CAP = 20        # ground elements outside a witness: 2^20 sets Z
@@ -55,17 +55,17 @@ class FamilyInstance(NamedTuple):
               ) -> "FamilyInstance":
         g = tuple(sorted(ground))
         if len(set(g)) != len(g) or not g:
-            raise ValueError("ground set must be nonempty without duplicates")
+            raise UsageError("ground set must be nonempty without duplicates")
         evs: dict[str, tuple[tuple[str, Event], ...]] = {}
         for elem in g:
             bundle = tuple(events.get(elem, ()))
             labels = [label for label, _ in bundle]
             if len(set(labels)) != len(labels):
-                raise ValueError(f"element {elem!r} repeats an event label")
+                raise UsageError(f"element {elem!r} repeats an event label")
             evs[elem] = bundle
         unknown = set(events) - set(g)
         if unknown:
-            raise ValueError(f"events for unknown elements {sorted(unknown)}")
+            raise UsageError(f"events for unknown elements {sorted(unknown)}")
         return FamilyInstance(g, space, member, evs, blockers)
 
 
@@ -159,12 +159,6 @@ class _Lattice:
                    if (family & ~with_k) << (1 << k) & ~family)
 
 
-class FamilyValidation(NamedTuple):
-    ok: bool
-    counterexample: SamplePoint | None
-    reason: str
-
-
 def _family_reader(inst: FamilyInstance,
                    lattice: _Lattice) -> Callable[[SamplePoint], int]:
     """Reads an outcome's family, cut down to the subsets of the
@@ -200,7 +194,7 @@ def _family_reader(inst: FamilyInstance,
 
 
 def validate_family_instance(inst: FamilyInstance, *,
-                             cap: int = ENUM_CAP) -> FamilyValidation:
+                             cap: int = ENUM_CAP) -> ModelCheck:
     """Check, on every positive-probability outcome: the family is nonempty
     and downward-closed, and every boundary element has a true event."""
     inst.space.check_cap(cap)
@@ -213,13 +207,13 @@ def validate_family_instance(inst: FamilyInstance, *,
         try:
             edge = lattice.boundary(family)
         except ValueError as exc:
-            return FamilyValidation(False, point, str(exc))
+            return ModelCheck(False, point, str(exc))
         for elem in lattice.names(edge):
             if not any(event(point) for _, event in inst.events[elem]):
-                return FamilyValidation(
+                return ModelCheck(
                     False, point,
                     f"boundary element {elem!r} has no true event")
-    return FamilyValidation(True, None, "ok")
+    return ModelCheck(True, None, "ok")
 
 
 def tau_of_set(tau: Mapping[str, float], subset: Iterable[str]) -> float:
@@ -251,7 +245,7 @@ def check_tau_condition(ground: Sequence[str], terms: Terms,
     every margin >= -tol.  Every tau(i) must be a finite number >= 1."""
     for elem in ground:
         if not 1.0 <= tau[elem] < math.inf:
-            raise ValueError(f"tau[{elem!r}] = {tau[elem]} is not a finite "
+            raise UsageError(f"tau[{elem!r}] = {tau[elem]} is not a finite "
                              "number >= 1")
     return check_margins(tau, apply_tau_operator(ground, terms, tau), tol)
 
@@ -287,12 +281,12 @@ def _check_witnesses(inst: FamilyInstance, witnesses: WitnessMap) -> None:
         for label, _ in bundle:
             w = witnesses.get((elem, label))
             if w is None:
-                raise ValueError(f"no witness for ({elem!r}, {label!r})")
+                raise UsageError(f"no witness for ({elem!r}, {label!r})")
             if elem not in w:
-                raise ValueError(f"witness for ({elem!r}, {label!r}) "
+                raise UsageError(f"witness for ({elem!r}, {label!r}) "
                                  f"does not contain the element")
             if not set(w) <= ground:
-                raise ValueError(f"witness for ({elem!r}, {label!r}) "
+                raise UsageError(f"witness for ({elem!r}, {label!r}) "
                                  f"leaves the ground set")
 
 
@@ -402,13 +396,13 @@ def least_tau_solution(ground: Sequence[str], terms: Terms,
     for elem in ground:
         for p, witness in terms.get(elem, ()):
             if elem not in witness:
-                raise ValueError(f"witness {sorted(witness)} misses {elem!r}")
+                raise UsageError(f"witness {sorted(witness)} misses {elem!r}")
             if not known.issuperset(witness):
                 other = next(x for x in witness if x not in known)
-                raise ValueError(f"witness {sorted(witness)} holds "
+                raise UsageError(f"witness {sorted(witness)} holds "
                                  f"{other!r}, not a ground element")
             if p < 0.0:
-                raise ValueError("negative probability bound")
+                raise UsageError("negative probability bound")
 
     return kleene(_tau_step(ground, terms), dict.fromkeys(ground, 0.0), tol,
                   iter_cap)
@@ -461,7 +455,7 @@ def hypergraph_coloring_family(hypergraph: Hypergraph, colors: int = 2
     blockers are its monochromatic edges.
     """
     if colors < 2:
-        raise ValueError("need at least two colors")
+        raise UsageError("need at least two colors")
     space = ProductSpace.uniform(
         [(f"c_{v}", list(range(colors))) for v in hypergraph.vertices])
 

@@ -11,11 +11,7 @@ import random
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .core import STRING, STRING_ROWS, json_list
-
-
-class InstanceError(ValueError):
-    """Malformed hypergraph, graph, or list data."""
+from .core import STRING, STRING_ROWS, UsageError, json_list
 
 
 class _HypergraphFields(NamedTuple):
@@ -29,16 +25,16 @@ class Hypergraph(_HypergraphFields):
               edges: Iterable[Iterable[str]]) -> "Hypergraph":
         vs = tuple(vertices)
         if len(set(vs)) != len(vs):
-            raise InstanceError("duplicate vertex ids")
+            raise UsageError("duplicate vertex ids")
         vset = set(vs)
         out = []
         for edge in edges:
             members = frozenset(edge)
             if not members:
-                raise InstanceError("empty hyperedge")
+                raise UsageError("empty hyperedge")
             unknown = members - vset
             if unknown:
-                raise InstanceError(f"edge uses unknown vertices {sorted(unknown)}")
+                raise UsageError(f"edge uses unknown vertices {sorted(unknown)}")
             out.append(members)
         return Hypergraph(vs, tuple(out))
 
@@ -68,18 +64,18 @@ class Graph(_GraphFields):
               edges: Iterable[Iterable[str]]) -> "Graph":
         vs = tuple(vertices)
         if len(set(vs)) != len(vs):
-            raise InstanceError("duplicate vertex ids")
+            raise UsageError("duplicate vertex ids")
         vset = set(vs)
         seen: set[frozenset[str]] = set()
         out = []
         for edge in edges:
             members = frozenset(edge)
             if len(members) != 2:
-                raise InstanceError(f"edge {sorted(members)} is not a vertex pair")
+                raise UsageError(f"edge {sorted(members)} is not a vertex pair")
             if members - vset:
-                raise InstanceError(f"edge {sorted(members)} uses unknown vertices")
+                raise UsageError(f"edge {sorted(members)} uses unknown vertices")
             if members in seen:
-                raise InstanceError(f"duplicate edge {sorted(members)}")
+                raise UsageError(f"duplicate edge {sorted(members)}")
             seen.add(members)
             out.append(members)
         return Graph(vs, tuple(out))
@@ -109,12 +105,12 @@ class ListAssignment(NamedTuple):
     def build(lists: Iterable[Iterable]) -> "ListAssignment":
         out = tuple(tuple(symbols) for symbols in lists)
         if not out:
-            raise InstanceError("need at least one position")
+            raise UsageError("need at least one position")
         for i, symbols in enumerate(out):
             if not symbols:
-                raise InstanceError(f"position {i} has an empty list")
+                raise UsageError(f"position {i} has an empty list")
             if len(set(symbols)) != len(symbols):
-                raise InstanceError(f"position {i} repeats a symbol")
+                raise UsageError(f"position {i} repeats a symbol")
         return ListAssignment(out)
 
     def __len__(self) -> int:
@@ -130,9 +126,9 @@ class ListAssignment(NamedTuple):
 
 def _read(obj: dict, what: str, key: str, kind: tuple) -> list:
     try:
-        return json_list(obj[key], kind, InstanceError, key)
+        return json_list(obj[key], kind, key)
     except (KeyError, TypeError) as exc:
-        raise InstanceError(f"bad {what} object: {exc}") from exc
+        raise UsageError(f"bad {what} object: {exc}") from exc
 
 
 def hypergraph_from_json(obj: dict) -> Hypergraph:
@@ -157,11 +153,11 @@ def random_regular_uniform_hypergraph(n: int, k: int, d: int,
     the vertex set into blocks of k.  Requires n, k >= 1, d >= 0, k | n and
     seed >= 0, since random.Random(-s) seeds like Random(s)."""
     if n < 1 or k < 1 or d < 0:
-        raise InstanceError(f"need n >= 1, k >= 1 and d >= 0, got {n, k, d}")
+        raise UsageError(f"need n >= 1, k >= 1 and d >= 0, got {n, k, d}")
     if seed < 0:
-        raise InstanceError(f"need seed >= 0, got {seed}")
+        raise UsageError(f"need seed >= 0, got {seed}")
     if n % k != 0:
-        raise InstanceError(f"k={k} does not divide n={n}")
+        raise UsageError(f"k={k} does not divide n={n}")
     rng = random.Random(seed)
     vertices = [f"u{i}" for i in range(n)]
     edges = []
@@ -178,9 +174,9 @@ def random_graph_max_degree(n: int, max_degree: int, target_edges: int,
     """Random simple graph with every degree <= max_degree; stops at the
     edge target or when no candidate pair is left.  Requires seed >= 0."""
     if max_degree < 1 or n < 2:
-        raise InstanceError("need n >= 2 and max_degree >= 1")
+        raise UsageError("need n >= 2 and max_degree >= 1")
     if seed < 0:
-        raise InstanceError(f"need seed >= 0, got {seed}")
+        raise UsageError(f"need seed >= 0, got {seed}")
     rng = random.Random(seed)
     vertices = [f"w{i}" for i in range(n)]
     degree = {v: 0 for v in vertices}

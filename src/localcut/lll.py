@@ -17,12 +17,8 @@ from operator import gt, mul, sub, truediv
 from typing import Iterable, Mapping, NamedTuple
 
 from .core import (INTEGER, INTEGER_ROWS, ITER_CAP, TOL, FixedPointResult,
-                   json_list, json_numbers, json_value, kleene, pick,
-                   row_folds)
-
-
-class LllError(ValueError):
-    """Malformed instance data or out-of-range parameters."""
+                   UsageError, json_list, json_numbers, json_value, kleene,
+                   pick, row_folds)
 
 
 class LllInstance(NamedTuple):
@@ -38,20 +34,20 @@ class LllInstance(NamedTuple):
               probs: Mapping[int, float],
               mu: Mapping[int, float]) -> "LllInstance":
         if n < 1:
-            raise LllError("need at least one event")
+            raise UsageError("need at least one event")
         idx = set(range(1, n + 1))
         for table, name in ((gamma, "gamma"), (probs, "p"), (mu, "mu")):
             if set(table) != idx:
-                raise LllError(f"{name} must be indexed 1..{n}")
+                raise UsageError(f"{name} must be indexed 1..{n}")
         for i in idx:
             if not frozenset(gamma[i]) <= idx:
-                raise LllError(f"gamma[{i}] leaves 1..{n}")
+                raise UsageError(f"gamma[{i}] leaves 1..{n}")
             if i in gamma[i]:
-                raise LllError(f"gamma[{i}] contains {i}")
+                raise UsageError(f"gamma[{i}] contains {i}")
             if not 0.0 <= probs[i] <= 1.0:
-                raise LllError(f"p[{i}] = {probs[i]} outside [0,1]")
+                raise UsageError(f"p[{i}] = {probs[i]} outside [0,1]")
             if not 0.0 <= mu[i] < 1.0:
-                raise LllError(f"mu[{i}] = {mu[i]} outside [0,1)")
+                raise UsageError(f"mu[{i}] = {mu[i]} outside [0,1)")
         return LllInstance(n, {i: frozenset(gamma[i]) for i in idx},
                            {i: float(probs[i]) for i in idx},
                            {i: float(mu[i]) for i in idx})
@@ -64,14 +60,15 @@ def instance_from_json(obj: dict, levels: bool = True) -> LllInstance:
     every neighbor index must be JSON integers, "p" and "mu" JSON
     numbers."""
     try:
-        n = json_value(obj["n"], INTEGER, LllError, "n")
-        gamma_rows = json_list(obj["gamma"], INTEGER_ROWS, LllError, "gamma")
-        probs = json_numbers(obj["p"], LllError, "p")
-        mu = json_numbers(obj["mu"], LllError, "mu") if levels else [0.0] * n
+        n = json_value(obj["n"], INTEGER, "n")
+        gamma_rows = json_list(obj["gamma"], INTEGER_ROWS, "gamma")
+        probs = json_numbers(obj["p"], "p")
+        # sized by the file's own list, so a huge "n" fails the length test
+        mu = json_numbers(obj["mu"], "mu") if levels else [0.0] * len(probs)
     except (KeyError, TypeError) as exc:
-        raise LllError(f"bad instance object: {exc}") from exc
+        raise UsageError(f"bad instance object: {exc}") from exc
     if not (len(gamma_rows) == len(probs) == len(mu) == n):
-        raise LllError(f"arrays must all have length n={n}")
+        raise UsageError(f"arrays must all have length n={n}")
     gamma = {i + 1: frozenset(row) for i, row in enumerate(gamma_rows)}
     return LllInstance.build(n,
                              gamma,
@@ -116,7 +113,7 @@ def mu_to_tau(inst: LllInstance, tol: float = TOL,
     feasible instance satisfies the per-element weight condition.
 
     `report` is the instance's lopsided check at tol, made here when not
-    given.  Raises LllError when the instance fails it: the translation is
+    given.  Raises UsageError when the instance fails it: the translation is
     only claimed for feasible inputs.
     """
     from .families import check_tau_condition
@@ -124,7 +121,7 @@ def mu_to_tau(inst: LllInstance, tol: float = TOL,
     if report is None:
         report = check_lopsided(inst, tol)
     if not report.feasible:
-        raise LllError("instance fails the lopsided condition")
+        raise UsageError("instance fails the lopsided condition")
     events = range(1, inst.n + 1)
     tau = {i: 1.0 / (1.0 - inst.mu[i]) for i in events}
     terms = {i: [(inst.probs[i], inst.gamma[i] | {i})] for i in events}
@@ -147,17 +144,17 @@ def auto_mu(probs: Mapping[int, float], gamma: Mapping[int, frozenset[int]],
     idx = sorted(probs)
     for i in gamma:
         if i not in probs:
-            raise LllError(f"gamma[{i}] has no event")
+            raise UsageError(f"gamma[{i}] has no event")
     for i in idx:
         if not 0.0 <= probs[i] < 1.0:
-            raise LllError(f"p[{i}] = {probs[i]} outside [0,1)")
+            raise UsageError(f"p[{i}] = {probs[i]} outside [0,1)")
         if i not in gamma:
-            raise LllError(f"gamma[{i}] is missing")
+            raise UsageError(f"gamma[{i}] is missing")
         if not all(map(probs.__contains__, gamma[i])):
             j = next(j for j in gamma[i] if j not in probs)
-            raise LllError(f"gamma[{i}] holds {j}, not an event")
+            raise UsageError(f"gamma[{i}] holds {j}, not an event")
         if i in gamma[i]:
-            raise LllError(f"gamma[{i}] contains {i}")
+            raise UsageError(f"gamma[{i}] contains {i}")
 
     # each Gamma row as positions, in its iteration order, so a step
     # multiplies the 1 - mu_j of a list as _keep_products does its table's

@@ -12,18 +12,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from typing import Callable, Iterator, Mapping, NamedTuple
 
-from .core import (ENUM_CAP, LIST, TOL, EnumerationCapError, json_numbers,
-                   json_value)
+from .core import (ENUM_CAP, LIST, STRING, TOL, EnumerationCapError,
+                   UsageError, json_list, json_numbers, json_value)
 from .digraph import MultiDigraph, head_reach, underlying_simple
 
 SamplePoint = dict
 Event = Callable[[SamplePoint], bool]
-
-
-class SpaceError(ValueError):
-    """Malformed product-space data."""
 
 
 class Variable(NamedTuple):
@@ -51,19 +48,19 @@ class ProductSpace(NamedTuple):
         unit = 1
         for name, values, weights in variables:
             if name in seen:
-                raise SpaceError(f"duplicate variable {name!r}")
+                raise UsageError(f"duplicate variable {name!r}")
             seen.add(name)
             if not values:
-                raise SpaceError(f"variable {name!r} has no values")
+                raise UsageError(f"variable {name!r} has no values")
             if len(values) != len(weights):
-                raise SpaceError(f"variable {name!r}: {len(values)} values "
+                raise UsageError(f"variable {name!r}: {len(values)} values "
                                  f"but {len(weights)} weights")
             if not all(map(math.isfinite, weights)):
-                raise SpaceError(f"variable {name!r} has a non-finite weight")
+                raise UsageError(f"variable {name!r} has a non-finite weight")
             if any(w < 0 for w in weights):
-                raise SpaceError(f"variable {name!r} has a negative weight")
+                raise UsageError(f"variable {name!r} has a negative weight")
             if abs(sum(weights) - 1.0) > TOL:
-                raise SpaceError(f"variable {name!r}: weights sum to "
+                raise UsageError(f"variable {name!r}: weights sum to "
                                  f"{sum(weights)}, not 1")
             # floats are integers over powers of two: scale the weights to
             # coprime integers, so a uniform variable's masses are all 1
@@ -251,9 +248,9 @@ class RiskTable:
         for key, p in self.entries.items():
             edge = graph.edge_by_id.get(key[0])
             if edge is None or key[1] not in reach[edge.head]:
-                raise SpaceError(f"risk entry {key} is not a reachable pair")
+                raise UsageError(f"risk entry {key} is not a reachable pair")
             if not (-TOL <= p <= 1.0 + TOL):
-                raise SpaceError(f"risk {p} at {key} outside [0,1]")
+                raise UsageError(f"risk {p} at {key} outside [0,1]")
 
 
 def risk_table_exact(space: ProductSpace, model: CutModel, *,
@@ -306,15 +303,19 @@ def vertex_probabilities(space: ProductSpace, model: CutModel, *,
 def risk_table_from_json(obj: dict,
                          graph: MultiDigraph | None = None) -> RiskTable:
     """Parse {"risks": [{"edge","z","p"}, ...]} into a table of the listed
-    rows, validated when a graph is given (CutInstance.build validates)."""
+    rows, at most one per (edge, z) pair, validated when a graph is given
+    (CutInstance.build validates)."""
     try:
-        rows = json_value(obj["risks"], LIST, SpaceError, "risks")
+        rows = json_value(obj["risks"], LIST, "risks")
         keys = [(r["edge"], r["z"]) for r in rows]
-        ps = json_numbers([r["p"] for r in rows], SpaceError,
-                          'risk "p" values')
+        ps = json_numbers([r["p"] for r in rows], 'risk "p" values')
     except (KeyError, TypeError) as exc:
-        raise SpaceError(f"bad risk object: {exc}") from exc
+        raise UsageError(f"bad risk object: {exc}") from exc
+    json_list([v for key in keys for v in key], STRING, "risk edges and zs")
     entries = dict(zip(keys, ps))
+    if len(entries) < len(keys):
+        counts = Counter(keys)
+        raise UsageError(f"two risk rows for {max(counts, key=counts.get)}")
     table = RiskTable(entries)
     if graph is not None:
         table.validate(graph)

@@ -15,26 +15,11 @@ from itertools import compress, count, islice
 from operator import eq
 from typing import Hashable, Mapping, NamedTuple, Sequence
 
-from .core import SAMPLE_CAP as RESAMPLE_CAP
+from .core import SAMPLE_CAP as RESAMPLE_CAP, UsageError
 from .instances import Graph, Hypergraph, ListAssignment
 from .rng import Generator
 
-__all__ = [
-    "SamplerError", "PaletteTooSmallError",
-    "SamplerReport", "moser_tardos_two_coloring", "verify_proper_2coloring",
-    "nonrep_sequence_build", "is_nonrepetitive",
-    "greedy_acyclic_edge_coloring", "is_acyclic_edge_coloring",
-]
-
 DRAW_CAP = 10 ** 6
-
-
-class SamplerError(ValueError):
-    pass
-
-
-class PaletteTooSmallError(SamplerError):
-    """Raised when a greedy step finds every color forbidden."""
 
 
 class SamplerReport(NamedTuple):
@@ -52,7 +37,7 @@ def verify_proper_2coloring(hypergraph: Hypergraph,
     """True when no edge is monochromatic; otherwise the first bad edge."""
     missing = [v for v in hypergraph.vertices if v not in coloring]
     if missing:
-        raise SamplerError(f"coloring misses vertex {missing[0]!r}")
+        raise UsageError(f"coloring misses vertex {missing[0]!r}")
     for edge in hypergraph.edges:
         shades = {coloring[v] for v in edge}
         if len(shades) == 1:
@@ -71,7 +56,7 @@ def moser_tardos_two_coloring(hypergraph: Hypergraph, seed: int,
     wait in a min-heap, stale entries are dropped when they surface, and
     the least index is the first monochromatic edge in edge order."""
     if cap < 0:
-        raise SamplerError("cap must be nonnegative")
+        raise UsageError("cap must be nonnegative")
     rng = Generator(seed)
     order = hypergraph.vertices
     colors = dict(zip(order, rng.integers(0, 2, len(order))))
@@ -208,7 +193,7 @@ def nonrep_sequence_build(lists: ListAssignment, seed: int,
     erased positions from it.
     """
     if cap < 0:
-        raise SamplerError("cap must be nonnegative")
+        raise UsageError("cap must be nonnegative")
     n = len(lists)
     rng = Generator(seed)
     table: dict[Hashable, int] = {}
@@ -357,9 +342,9 @@ def greedy_acyclic_edge_coloring(graph: Graph, palette: int, seed: int,
     uncolored and redrawn.  Raises when some step has no color at all,
     which a palette of size 2(max degree - 1) + 1 rules out."""
     if palette < 1:
-        raise SamplerError("palette must be nonempty")
+        raise UsageError("palette must be nonempty")
     if cap < 0:
-        raise SamplerError("cap must be nonnegative")
+        raise UsageError("cap must be nonnegative")
     rng = Generator(seed)
     coloring: EdgeColoring = {}
     at: dict[tuple[str, int], frozenset] = {}
@@ -368,7 +353,7 @@ def greedy_acyclic_edge_coloring(graph: Graph, palette: int, seed: int,
         banned = _forbidden_colors(graph, edge, coloring)
         allowed = [c for c in range(palette) if c not in banned]
         if not allowed:
-            raise PaletteTooSmallError(
+            raise UsageError(
                 f"no color left for edge {sorted(edge)} with palette "
                 f"{palette}")
         while True:
@@ -419,7 +404,7 @@ def is_acyclic_edge_coloring(graph: Graph,
     pair is then walked, in edge order, for its witness."""
     missing = [edge for edge in graph.edges if edge not in coloring]
     if missing:
-        raise SamplerError(f"coloring misses edge {sorted(missing[0])}")
+        raise UsageError(f"coloring misses edge {sorted(missing[0])}")
     shades: dict[str, dict[int, frozenset]] = {}
     for v in graph.vertices:
         seen: dict[int, frozenset] = {}

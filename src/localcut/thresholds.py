@@ -21,7 +21,7 @@ import heapq
 import math
 from typing import Callable, Mapping, NamedTuple
 
-from .core import TOL
+from .core import TOL, UsageError
 from .instances import Hypergraph
 
 GRID_POINTS = 10 ** 4
@@ -211,9 +211,9 @@ def hypergraph_two_coloring_max_degree(k: int, variant: str = "exact",
     (drop-one-vertex witness).
     """
     if k < 2:
-        raise ValueError("need uniformity k >= 2")
+        raise UsageError("need uniformity k >= 2")
     if variant not in _HYPCOL_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+        raise UsageError(f"unknown variant {variant!r}")
     half = 2.0 ** (k - 1)
     if variant == "lll":
         bound = half / (math.e * k) + 1.0 - 1.0 / k
@@ -247,7 +247,7 @@ def sequence_condition(list_size: float) -> SeriesCondition:
 def nonrepetitive_sequence_feasible(list_size: float,
                                     tol: float = TOL) -> FeasibilityResult:
     if not list_size > 1:
-        raise ValueError("need list size above 1")
+        raise UsageError("need list size above 1")
     return scalar_feasible(sequence_condition(list_size), tol)
 
 
@@ -280,7 +280,7 @@ def nonrepetitive_chromatic_bound(delta: int,
     degree delta.  Needs delta >= 3: the closed form divides by
     delta^(1/3) - 2^(1/3)."""
     if delta < 3:
-        raise ValueError("need max degree delta >= 3")
+        raise UsageError("need max degree delta >= 3")
     d = float(delta)
     closed = (d ** 2
               + 3.0 * 2.0 ** (-2.0 / 3.0) * d ** (5.0 / 3.0)
@@ -321,9 +321,9 @@ class AcyclicFeasibility(NamedTuple):
 def acyclic_feasible(delta: int, palette: int,
                      tol: float = TOL) -> AcyclicFeasibility:
     if delta < 2:
-        raise ValueError("need max degree delta >= 2")
+        raise UsageError("need max degree delta >= 2")
     if palette < 1:
-        raise ValueError("need a nonempty palette")
+        raise UsageError("need a nonempty palette")
     result = scalar_feasible(acyclic_condition(delta, palette), tol)
     return AcyclicFeasibility(delta, palette, palette != 4 * (delta - 1),
                               result)
@@ -336,7 +336,7 @@ def g_weight(t: int, z: float) -> float:
     if t < 1:
         raise ValueError("intersection size must be >= 1")
     if not z > 1.0:
-        raise ValueError("need z > 1")
+        raise UsageError("need z > 1")
     if t == 1:
         return 1.0 - 1.0 / z
     return 2.0 ** (1 - t) / z
@@ -358,7 +358,7 @@ def critical_min_slack(k: int) -> CriticalSlack:
     because the defect equals 64 sqrt(k) >= 0 identically.
     """
     if k < 1:
-        raise ValueError("need k >= 1")
+        raise UsageError("need k >= 1")
     root_k = math.sqrt(k)
     c_min = math.sqrt(64.0 + 16.0 * k) - 8.0
     default_c = 4.0 * root_k
@@ -381,11 +381,11 @@ def critical_condition_check(k: int, c: float, tau: float, z: float,
     """Check the two scalar requirements at (tau, z), plus the quadratic
     that results from the canonical choice z = k/(4 tau) + 1."""
     if k < 1:
-        raise ValueError("need k >= 1")
+        raise UsageError("need k >= 1")
     if not z > 1.0:
-        raise ValueError("need z > 1")
+        raise UsageError("need z > 1")
     if not tau >= 1.0:
-        raise ValueError("need tau >= 1")
+        raise UsageError("need tau >= 1")
     ratio_ok = 4.0 * tau / k >= 1.0 / (z - 1.0) - tol
     weight_ok = tau >= 1.0 + 4.0 * z * tau * tau * (k - c) / (k * k) - tol
     quad = (4.0 * (k - c) / (k * k)) * tau * tau - (c / k) * tau + 1.0
@@ -439,9 +439,9 @@ def greedy_peel(hypergraph: Hypergraph, k: int, c: float,
     k - c by construction.
     """
     if not k - c > 0:
-        raise ValueError("need k - c > 0")
+        raise UsageError("need k - c > 0")
     if not z > 1.0:
-        raise ValueError("need z > 1")
+        raise UsageError("need z > 1")
     vertices, edges = hypergraph.vertices, hypergraph.edges
     edges_at = hypergraph.edges_at
     position = {v: i for i, v in enumerate(vertices)}

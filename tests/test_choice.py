@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from localcut.choice import (ChoiceError, ChoiceInstance, MarginalWeights,
-                             avoids_all, check_expectation_condition,
-                             choice_from_json, marginals_from_json,
-                             randomized_choice_search)
+from localcut.choice import (ChoiceInstance, MarginalWeights, avoids_all,
+                             check_expectation_condition, choice_from_json,
+                             marginals_from_json, randomized_choice_search)
+from localcut.core import UsageError
 
 
 def crafted():
@@ -16,17 +16,17 @@ def crafted():
 
 
 def test_build_validation():
-    with pytest.raises(ChoiceError):
+    with pytest.raises(UsageError):
         ChoiceInstance.build([], [])
-    with pytest.raises(ChoiceError):
+    with pytest.raises(UsageError):
         ChoiceInstance.build([("a",), ()], [])
-    with pytest.raises(ChoiceError):
+    with pytest.raises(UsageError):
         ChoiceInstance.build([("a",), ("a",)], [])
-    with pytest.raises(ChoiceError):
+    with pytest.raises(UsageError):
         ChoiceInstance.build([("a", "b")], [()])
-    with pytest.raises(ChoiceError):
+    with pytest.raises(UsageError):
         ChoiceInstance.build([("a", "b")], [("a", "b")])
-    with pytest.raises(ChoiceError):
+    with pytest.raises(UsageError):
         ChoiceInstance.build([("a",)], [("zzz",)])
 
 
@@ -34,9 +34,9 @@ def test_avoids_all_validation():
     inst = crafted()
     assert avoids_all(inst, ("a3", "b1", "c1"))
     assert not avoids_all(inst, ("a1", "b1", "c2"))
-    with pytest.raises(ChoiceError):
+    with pytest.raises(UsageError):
         avoids_all(inst, ("a1", "b1"))
-    with pytest.raises(ChoiceError):
+    with pytest.raises(UsageError):
         avoids_all(inst, ("b1", "a1", "c1"))
 
 
@@ -68,17 +68,17 @@ def test_expectation_condition_infeasible_and_errors():
     w = MarginalWeights.build(inst, {"a1": 0.3, "a2": 0.3})
     assert not check_expectation_condition(inst, w).feasible
     dead = MarginalWeights.build(inst, {"a1": 0.0, "a2": 0.0})
-    with pytest.raises(ChoiceError):
+    with pytest.raises(UsageError):
         check_expectation_condition(inst, dead)
 
 
 def test_marginal_weights_validation():
     inst = ChoiceInstance.build([("a1", "a2")], [])
-    with pytest.raises(ChoiceError):
+    with pytest.raises(UsageError):
         MarginalWeights.build(inst, {"a1": 0.5})
-    with pytest.raises(ChoiceError):
+    with pytest.raises(UsageError):
         MarginalWeights.build(inst, {"a1": 0.5, "a2": 0.5, "zzz": 0.5})
-    with pytest.raises(ChoiceError):
+    with pytest.raises(UsageError):
         MarginalWeights.build(inst, {"a1": 1.5, "a2": 0.5})
     # values a hair outside [0,1] are clamped, not rejected
     w = MarginalWeights.build(inst, {"a1": 1.0 + 1e-13, "a2": -1e-13})
@@ -121,7 +121,7 @@ def test_randomized_search_finds_avoiding_choice():
 def test_randomized_search_rejects_infeasible_weights():
     inst = ChoiceInstance.build([("a1", "a2")], [])
     w = MarginalWeights.build(inst, {"a1": 0.3, "a2": 0.3})
-    with pytest.raises(ChoiceError):
+    with pytest.raises(UsageError):
         randomized_choice_search(inst, w, seed=1)
 
 
@@ -142,7 +142,7 @@ def test_json_parsing():
     assert inst.universes == (("a1", "a2"), ("b1",))
     w = marginals_from_json(inst, {"a1": 0.5, "a2": 0.5, "b1": 1.0})
     assert w.tau == (1.0, 1.0)
-    with pytest.raises(ChoiceError):
+    with pytest.raises(UsageError):
         choice_from_json({"forbidden": []})
-    with pytest.raises(ChoiceError):
+    with pytest.raises(UsageError):
         marginals_from_json(inst, "not a map")

@@ -251,6 +251,109 @@ def test_integer_past_the_float_range_exits_2(tmp_path, capsys):
     assert code == 2 and out == "" and "float range" in err
 
 
+LLL_PAIR = {"n": 2, "gamma": [[2], [1]], "p": [0.125, 0.125],
+            "mu": [0.25, 0.25]}
+LONG = "1" + "0" * 400
+ARC_WEIGHTS = ["check-lcl", "ARC", "--weights", "FILE"]
+
+
+# each bad input but the last once ended in another exit code: an
+# exception outside the usage arm (4), a last-wins read of a repeated key
+# (0) or a bare `unhashable type` message (2); a file that is not UTF-8
+# exited 2 only through the catch-all ValueError arm that is gone.
+# Beside each, the valid input it was made from, which exits 0
+BAD_INPUTS = [
+    ("lll-n-2^62", ["check-lll", "FILE", "--auto-mu"],
+     {**LLL_PAIR, "n": 2 ** 62}, "length n=", LLL_PAIR),
+    ("json-100000-deep", ["check-lll", "FILE"], "[" * 100_000 + "]" * 100_000,
+     "recursion depth", LLL_PAIR),
+    ("weights-repeated-key", ARC_WEIGHTS, '{"weights": {"x->y": 0.5, '
+     '"x->y": 2.5}}', "duplicate key 'x->y'", {"weights": {"x->y": 2.5}}),
+    ("risk-row-twice", ["check-lcl", "FILE"],
+     {**SINGLE_ARC, "risks": [{"edge": "e", "z": "y", "p": 0.5},
+                              {"edge": "e", "z": "y", "p": 0.9}]},
+     "two risk rows for ('e', 'y')", SINGLE_ARC),
+    ("list-tail", ["check-lcl", "FILE"],
+     {**SINGLE_ARC, "digraph": {"vertices": ["x", "y"], "edges": [
+         {"id": "e", "tail": ["x"], "head": "y"}]}},
+     "tails and heads must be a string, got ['x']", SINGLE_ARC),
+    ("list-risk-edge", ["check-lcl", "FILE"],
+     {**SINGLE_ARC, "risks": [{"edge": ["e"], "z": "y", "p": 0.5}]},
+     "risk edges and zs must be a string, got ['e']", SINGLE_ARC),
+    ("not-utf-8", ["check-lll", "FILE"], b"\xff\xfe", "utf-8", LLL_PAIR),
+]
+
+
+@pytest.mark.parametrize("argv, bad, message, good",
+                         [case[1:] for case in BAD_INPUTS],
+                         ids=[case[0] for case in BAD_INPUTS])
+def test_bad_input_exits_2_with_a_message(argv, bad, message, good,
+                                          tmp_path, capsys):
+    files = {"ARC": write(tmp_path, "arc.json", SINGLE_ARC)}
+    path = tmp_path / "input.json"
+    if isinstance(bad, bytes):
+        path.write_bytes(bad)
+    else:
+        path.write_text(bad if isinstance(bad, str) else json.dumps(bad),
+                        encoding="utf-8")
+    files["FILE"] = str(path)
+    code, out, err = run([files.get(arg, arg) for arg in argv], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert message in err
+    files["FILE"] = write(tmp_path, "good.json", good)
+    code, out, _ = run([files.get(arg, arg) for arg in argv], capsys)
+    assert code == 0 and json.loads(out)
+
+
+# a flag value past the float range, or a closed form that leaves it,
+# once raised OverflowError (exit 4), and a NaN point was judged (exit 1);
+# beside each the valid call it was made from, which exits 0
+CRITICAL = ["threshold", "critical", "--k", "4"]
+PEEL = ["peel", "FILE", "--k", "4"]
+BAD_FLAGS = [
+    (["threshold", "hypcol", "--k", "2000"],
+     ["threshold", "hypcol", "--k", "12"]),
+    (["threshold", "hypcol", "--k", "12", "--d", LONG],
+     ["threshold", "hypcol", "--k", "12", "--d", "10"]),
+    (["threshold", "critical", "--k", LONG], CRITICAL),
+    (CRITICAL + ["--c", "nan", "--tau", "2", "--z", "3"],
+     CRITICAL + ["--c", "8", "--tau", "2", "--z", "3"]),
+    (CRITICAL + ["--c", "8", "--tau", "-inf", "--z", "3"],
+     CRITICAL + ["--c", "8", "--tau", "2", "--z", "3"]),
+    (["threshold", "sequence", "--L", "inf"],
+     ["threshold", "sequence", "--L", "6"]),
+    (["threshold", "chromatic", "--delta", "1" + "0" * 200],
+     ["threshold", "chromatic", "--delta", "10"]),
+    (PEEL + ["--c", "nan", "--z", "2"], PEEL + ["--c", "3.5", "--z", "2"]),
+    (PEEL + ["--c", "3.5", "--z", "inf"], PEEL + ["--c", "3.5", "--z", "2"]),
+]
+
+
+@pytest.mark.parametrize("argv, good", BAD_FLAGS,
+                         ids=[" ".join(case[0])[:40] for case in BAD_FLAGS])
+def test_bad_flag_value_exits_2(argv, good, tmp_path, capsys):
+    peel = write(tmp_path, "peel.json", {
+        "vertices": list("abcde"),
+        "edges": [list(e) for e in ("abc", "abd", "abe", "acd", "ace",
+                                    "ade", "bcd", "bce", "bde", "cde")]})
+    code, out, err = run([peel if a == "FILE" else a for a in argv], capsys)
+    assert code == 2 and out == "" and "error:" in err
+    code, out, _ = run([peel if a == "FILE" else a for a in good], capsys)
+    assert code == 0 and json.loads(out)
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError, TypeError])
+def test_a_solver_fault_exits_4(error, tmp_path, capsys, monkeypatch):
+    def solver(*args):
+        raise error("boom")
+
+    monkeypatch.setattr(engine, "least_weight_solution", solver)
+    path = write(tmp_path, "inst.json", SINGLE_ARC)
+    code, out, err = run(["check-lcl", path], capsys)
+    assert code == 4 and out == ""
+    assert err.startswith(f"internal error: {error.__name__}(")
+
+
 def test_unconverged_solve_weights_exit_3(tmp_path, capsys, monkeypatch):
     # solvers that stop while one more application still moves the
     # weights by more than --tol: the check, not the solver, decides
@@ -1052,13 +1155,12 @@ def test_sample_pool_runs_from_a_fresh_process():
 
 # today's public names; each must be the object its defining module holds
 PUBLIC_NAMES = set("""
-    ChoiceError ChoiceInstance CutInstance CutModel DigraphError
-    Edge EnumerationCapError FamilyInstance FeasibilityResult
-    FixedPointResult Graph Hypergraph IndeterminateError
-    InstanceError ListAssignment LllError LllInstance
-    MarginalWeights MultiDigraph PaletteTooSmallError ProductSpace
-    RiskTable SamplerError SamplerReport SeriesCondition
-    SimpleDigraph SpaceError WeightReport acyclic_feasible
+    ChoiceInstance CutInstance CutModel Edge EnumerationCapError
+    FamilyInstance FeasibilityResult FixedPointResult Graph
+    Hypergraph IndeterminateError ListAssignment LllInstance
+    MarginalWeights MultiDigraph ProductSpace RiskTable
+    SamplerReport SeriesCondition SimpleDigraph UsageError
+    WeightReport acyclic_feasible
     apply_risk_operator apply_tau_operator auto_mu
     build_nonrep_instance check_expectation_condition
     check_family_condition check_lopsided check_tau_condition
@@ -1080,7 +1182,7 @@ PUBLIC_NAMES = set("""
 
 
 def test_package_names_resolve_to_their_modules():
-    assert len(PUBLIC_NAMES) == 76
+    assert len(PUBLIC_NAMES) == 70
     assert set(localcut.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         value = getattr(localcut, name)
@@ -1095,18 +1197,18 @@ def test_package_names_resolve_to_their_modules():
     assert localcut.__version__ == "0.1.0"
 
 
+# bad input is a UsageError or an unreadable file; any other error a
+# handler raises is a fault, even one json.load raises, since _load_json
+# turns the parse errors of an input file into UsageError
 HANDLER_ERRORS = [
-    ("localcut.digraph", "DigraphError", (), 2),
-    ("localcut.probability", "SpaceError", (), 2),
-    ("localcut.instances", "InstanceError", (), 2),
-    ("localcut.lll", "LllError", (), 2),
-    ("localcut.choice", "ChoiceError", (), 2),
-    ("localcut.samplers", "SamplerError", (), 2),
-    ("localcut.samplers", "PaletteTooSmallError", (), 2),
-    ("json", "JSONDecodeError", ("{", 1), 2),
     ("localcut.core", "UsageError", (), 2),
+    ("builtins", "OSError", (), 2),
     ("localcut.engine", "IndeterminateError", (3,), 3),
     ("localcut.probability", "EnumerationCapError", (), 3),
+    ("builtins", "ValueError", (), 4),
+    ("builtins", "KeyError", (), 4),
+    ("builtins", "TypeError", (), 4),
+    ("json", "JSONDecodeError", ("{", 1), 4),
     ("builtins", "RuntimeError", (), 4),
 ]
 

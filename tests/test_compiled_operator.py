@@ -16,9 +16,9 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from localcut import engine
-from localcut.digraph import (DigraphError, MultiDigraph, head_reach,
-                              min_product_weights, reachable,
-                              underlying_simple)
+from localcut.core import UsageError
+from localcut.digraph import (MultiDigraph, head_reach, min_product_weights,
+                              reachable, underlying_simple)
 from localcut.engine import (TOL, CutInstance, IndeterminateError,
                              apply_risk_operator, build_nonrep_instance,
                              kleene, least_weight_solution)
@@ -373,8 +373,8 @@ def test_operator_checks_weights_once_per_application(monkeypatch):
     arcs = sorted(inst.simple.arcs)
     low = dict.fromkeys(arcs, 2.0)
     low[arcs[3]] = 0.5
-    with pytest.raises(DigraphError, match=r"weight 0.5 on arc .* below 1"):
+    with pytest.raises(UsageError, match=r"weight 0.5 on arc .* below 1"):
         apply_risk_operator(inst, low)
     del low[arcs[3]]
-    with pytest.raises(DigraphError, match="no weight for arc"):
+    with pytest.raises(UsageError, match="no weight for arc"):
         apply_risk_operator(inst, low)

@@ -6,7 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
-from localcut.digraph import (DigraphError, MultiDigraph, digraph_from_json,
+from localcut.core import UsageError
+from localcut.digraph import (MultiDigraph, digraph_from_json,
                               min_product_weights, reachable,
                               underlying_simple)
 from localcut.probability import _cut_checker
@@ -22,11 +23,11 @@ def diamond():
 
 
 def test_build_rejects_bad_input():
-    with pytest.raises(DigraphError):
+    with pytest.raises(UsageError):
         MultiDigraph.build([], [])
-    with pytest.raises(DigraphError):
+    with pytest.raises(UsageError):
         MultiDigraph.build(["a"], [("e1", "a", "zzz")])
-    with pytest.raises(DigraphError):
+    with pytest.raises(UsageError):
         MultiDigraph.build(["a", "b"], [("e1", "a", "b"), ("e1", "b", "a")])
 
 
@@ -88,7 +89,7 @@ def test_min_product_self_and_unreachable():
     weights = {arc: 2.0 for arc in simple.arcs}
     assert min_product_weights(simple, weights, "a")["a"] == 1.0
     assert "a" not in min_product_weights(simple, weights, "d")
-    with pytest.raises(DigraphError):
+    with pytest.raises(UsageError):
         min_product_weights(simple, weights, "zzz")
 
 
@@ -97,9 +98,9 @@ def test_weights_below_one_rejected():
     simple = underlying_simple(g)
     weights = {arc: 2.0 for arc in simple.arcs}
     weights[("a", "b")] = 0.5
-    with pytest.raises(DigraphError):
+    with pytest.raises(UsageError):
         min_product_weights(simple, weights, "a")
-    with pytest.raises(DigraphError):
+    with pytest.raises(UsageError):
         min_product_weights(simple, {}, "a")
 
 
@@ -139,7 +140,7 @@ def test_json_round_trip():
     again = digraph_from_json(digraph_to_json(g))
     assert again.vertices == g.vertices
     assert again.edges == g.edges
-    with pytest.raises(DigraphError):
+    with pytest.raises(UsageError):
         digraph_from_json({"edges": []})
-    with pytest.raises(DigraphError):
+    with pytest.raises(UsageError):
         digraph_from_json({"vertices": "ab", "edges": []})

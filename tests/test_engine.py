@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from localcut.digraph import DigraphError, MultiDigraph
+from localcut.core import UsageError
+from localcut.digraph import MultiDigraph
 from localcut.engine import (CutInstance, IndeterminateError,
                              apply_risk_operator, build_nonrep_instance,
                              check_weight_condition, least_weight_solution,
@@ -36,7 +37,7 @@ def test_risk_discounting_minimizes_over_reachable():
     # candidates: z=y gives 0.9 * wbar(x,y)=0.9*2; z=z gives 0.1 * wbar(x,z)=0.1*6
     assert risk_of_edge(ci, w, "e1") == pytest.approx(0.6, abs=1e-15)
     assert risk_of_edge(ci, w, "e2") == 0.0
-    with pytest.raises(DigraphError):
+    with pytest.raises(UsageError):
         risk_of_edge(ci, {("x", "y"): 2.0}, "e1")
 
 

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localcut import samplers
+from localcut.core import UsageError
 from localcut.instances import (Graph, Hypergraph, ListAssignment,
                                 random_graph_max_degree)
 from localcut.samplers import (RESAMPLE_CAP, AcyclicCheck, NonrepCheck,
@@ -299,7 +300,8 @@ def test_acyclic_sampler_matches_the_index_scan(monkeypatch):
     for graph, palette, seed, cap in cases:
         try:
             _, rep = greedy_acyclic_edge_coloring(graph, palette, seed, cap)
-        except samplers.PaletteTooSmallError:
+        except UsageError as exc:
+            assert "no color left" in str(exc)
             continue
         reports.append((graph, rep))
     assert any(not rep.success for _, rep in reports)

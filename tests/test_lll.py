@@ -6,8 +6,9 @@ import re
 import numpy as np
 import pytest
 
+from localcut.core import UsageError
 from localcut.engine import IndeterminateError
-from localcut.lll import (LllError, LllInstance, auto_mu, check_lopsided,
+from localcut.lll import (LllInstance, auto_mu, check_lopsided,
                           instance_from_json, mu_to_tau)
 
 
@@ -18,17 +19,17 @@ def symmetric_pair(p, mu):
 
 
 def test_build_validation():
-    with pytest.raises(LllError):
+    with pytest.raises(UsageError):
         LllInstance.build(0, {}, {}, {})
-    with pytest.raises(LllError):
+    with pytest.raises(UsageError):
         LllInstance.build(1, {1: frozenset({1})}, {1: 0.1}, {1: 0.1})
-    with pytest.raises(LllError):
+    with pytest.raises(UsageError):
         LllInstance.build(1, {1: frozenset({9})}, {1: 0.1}, {1: 0.1})
-    with pytest.raises(LllError):
+    with pytest.raises(UsageError):
         LllInstance.build(1, {1: frozenset()}, {1: 1.5}, {1: 0.1})
-    with pytest.raises(LllError):
+    with pytest.raises(UsageError):
         LllInstance.build(1, {1: frozenset()}, {1: 0.1}, {1: 1.0})
-    with pytest.raises(LllError):
+    with pytest.raises(UsageError):
         LllInstance.build(2, {1: frozenset()}, {1: 0.1}, {1: 0.1})
 
 
@@ -37,9 +38,9 @@ def test_json_parsing():
                                "p": [0.125, 0.125], "mu": [0.25, 0.25]})
     assert inst.n == 2
     assert inst.gamma[1] == frozenset({2})
-    with pytest.raises(LllError):
+    with pytest.raises(UsageError):
         instance_from_json({"n": 2, "gamma": [[2]], "p": [0.1], "mu": [0.1]})
-    with pytest.raises(LllError):
+    with pytest.raises(UsageError):
         instance_from_json({"n": 1, "gamma": [[]], "p": ["x"], "mu": [0.1]})
 
 
@@ -66,7 +67,7 @@ def test_infeasible_pair_is_rejected():
     inst = symmetric_pair(0.25, 0.25)
     rep = check_lopsided(inst)
     assert not rep.feasible
-    with pytest.raises(LllError):
+    with pytest.raises(UsageError):
         mu_to_tau(inst)
 
 
@@ -94,7 +95,7 @@ def test_auto_mu_detects_infeasibility():
 
 def test_auto_mu_validation_and_cap():
     gamma = {1: frozenset({2}), 2: frozenset({1})}
-    with pytest.raises(LllError):
+    with pytest.raises(UsageError):
         auto_mu({1: 1.0, 2: 0.1}, gamma)
     with pytest.raises(IndeterminateError):
         auto_mu({1: 0.24999, 2: 0.24999}, gamma, iter_cap=3)
@@ -108,9 +109,9 @@ def test_auto_mu_validation_and_cap():
     ({1: 0.1}, {1: frozenset(), 3: frozenset()}, "gamma[3] has no event"),
 ])
 def test_auto_mu_validates_gamma_like_build(probs, gamma, message):
-    with pytest.raises(LllError, match=re.escape(message)):
+    with pytest.raises(UsageError, match=re.escape(message)):
         auto_mu(probs, gamma)
-    with pytest.raises(LllError):   # the instance builder agrees
+    with pytest.raises(UsageError):   # the instance builder agrees
         LllInstance.build(max(probs), gamma, probs, dict.fromkeys(probs, 0.0))
 
 

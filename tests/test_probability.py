@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from localcut.core import UsageError
 from localcut.digraph import MultiDigraph
 from localcut.probability import (CutModel, EnumerationCapError, ProductSpace,
-                                  SpaceError, cond_prob, exact_prob,
-                                  risk_table_exact, risk_table_from_json,
-                                  validate_cut_model, vertex_probabilities)
+                                  cond_prob, exact_prob, risk_table_exact,
+                                  risk_table_from_json, validate_cut_model,
+                                  vertex_probabilities)
 
 from corpus import corpus
 
@@ -24,17 +25,17 @@ def biased_pair():
 
 
 def test_space_build_rejects_bad_input():
-    with pytest.raises(SpaceError):
+    with pytest.raises(UsageError):
         ProductSpace.build([("x", [0], [1.0]), ("x", [0], [1.0])])
-    with pytest.raises(SpaceError):
+    with pytest.raises(UsageError):
         ProductSpace.build([("x", [], [])])
-    with pytest.raises(SpaceError):
+    with pytest.raises(UsageError):
         ProductSpace.build([("x", [0, 1], [1.0])])
-    with pytest.raises(SpaceError):
+    with pytest.raises(UsageError):
         ProductSpace.build([("x", [0, 1], [-0.5, 1.5])])
-    with pytest.raises(SpaceError):
+    with pytest.raises(UsageError):
         ProductSpace.build([("x", [0, 1], [0.3, 0.3])])
-    with pytest.raises(SpaceError, match="'x' has a non-finite weight"):
+    with pytest.raises(UsageError, match="'x' has a non-finite weight"):
         ProductSpace.build([("x", [0, 1], [math.nan, 0.5])])
 
 
@@ -179,9 +180,9 @@ def test_risk_table_validation():
     assert table.entries == {}
     table = risk_table_from_json({"risks": [{"edge": "e1", "z": "v", "p": 0.25}]}, g)
     assert table.entries[("e1", "v")] == 0.25
-    with pytest.raises(SpaceError):
+    with pytest.raises(UsageError):
         risk_table_from_json({"risks": [{"edge": "e1", "z": "u", "p": 0.5}]}, g)
-    with pytest.raises(SpaceError):
+    with pytest.raises(UsageError):
         risk_table_from_json({}, g)
     bad = risk_table_from_json({"risks": []}, g)
     bad.entries[("e1", "v")] = 1.5
@@ -213,7 +214,7 @@ def test_risk_table_from_json_stores_only_listed_rows():
         assert len(table.entries) == k
     # unknown edges and vertices outside reach(head) are still rejected
     for edge, z in (("q", "w"), ("b", "y"), ("c", "x")):
-        with pytest.raises(SpaceError):
+        with pytest.raises(UsageError):
             risk_table_from_json(
                 {"risks": [{"edge": edge, "z": z, "p": 0.5}]}, g)
 

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localcut import samplers
+from localcut.core import UsageError
 from localcut.instances import Graph, Hypergraph, ListAssignment
-from localcut.samplers import (DRAW_CAP, PaletteTooSmallError,
-                               SamplerError, _SquareIndex,
+from localcut.samplers import (DRAW_CAP, _SquareIndex,
                                greedy_acyclic_edge_coloring,
                                is_acyclic_edge_coloring, is_nonrepetitive,
                                moser_tardos_two_coloring,
@@ -32,7 +32,7 @@ def test_verify_proper_2coloring():
     assert ok and bad is None
     ok, bad = verify_proper_2coloring(hg, {"a": 1, "b": 1, "c": 1})
     assert not ok and bad == frozenset({"a", "b", "c"})
-    with pytest.raises(SamplerError):
+    with pytest.raises(UsageError):
         verify_proper_2coloring(hg, {"a": 0})
 
 
@@ -59,7 +59,7 @@ def test_moser_tardos_honest_cap_on_impossible_instance():
     assert coloring is None
     assert not report.success and report.steps == 50
     assert "cap" in report.note
-    with pytest.raises(SamplerError):
+    with pytest.raises(UsageError):
         moser_tardos_two_coloring(hg, seed=3, cap=-1)
 
 
@@ -269,7 +269,7 @@ def test_acyclic_k4_with_four_colors_always_jams():
     # every 4-cycle up front, so the only exit is an empty allowed set
     k4 = complete_graph("abcd")
     for seed in range(5):
-        with pytest.raises(PaletteTooSmallError):
+        with pytest.raises(UsageError, match="no color left"):
             greedy_acyclic_edge_coloring(k4, 4, seed)
 
 
@@ -286,7 +286,7 @@ def test_acyclic_cap_and_palette_guards():
     k4 = complete_graph("abcd")
     coloring, report = greedy_acyclic_edge_coloring(k4, 5, seed=0, cap=0)
     assert coloring is None and not report.success
-    with pytest.raises(SamplerError):
+    with pytest.raises(UsageError):
         greedy_acyclic_edge_coloring(k4, 0, seed=0)
 
 
@@ -336,7 +336,7 @@ def test_acyclic_checker_witnesses():
     chk = is_acyclic_edge_coloring(c4, clash)
     assert not chk.ok and chk.kind == "adjacent"
 
-    with pytest.raises(SamplerError):
+    with pytest.raises(UsageError):
         is_acyclic_edge_coloring(c4, {})
 
 
